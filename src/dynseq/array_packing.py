@@ -102,14 +102,6 @@ class ArrayPacking:
 
     # -- family-2 geometry -------------------------------------------------
 
-    def _f2_last_start(self, length: int, limit: int) -> Optional[int]:
-        """Largest admitted start <= limit whose segment fits in [1, m]."""
-        step = length // self.d
-        limit = min(limit, self.m - length + 1)
-        if limit < 1:
-            return None
-        return limit - (limit - 1) % step
-
     def _f2_first_start(self, length: int, at_least: int) -> Optional[int]:
         """Smallest admitted start >= at_least whose segment fits in [1, m]."""
         step = length // self.d
@@ -117,46 +109,6 @@ class ArrayPacking:
         if j + length - 1 > self.m:
             return None
         return j
-
-    def _reach_from(self, lo_bound: int, p: int, y: int) -> Optional[ArraySegment]:
-        """Farthest-reaching segment with start in [lo_bound, p] and end <= y;
-        ties broken toward the smaller start.  None if nothing starts there."""
-        if p > y:
-            return None
-        best: Optional[ArraySegment] = None
-        length = min(self.d, y - p + 1)
-        if length >= 1:
-            best = ArraySegment(p, p + length - 1)
-        if self.has_family2:
-            for length in self._family2_lengths:
-                j = self._f2_last_start(length, min(p, y - length + 1))
-                if j is None or j < lo_bound:
-                    continue
-                end = j + length - 1
-                if best is None or end > best.hi or (end == best.hi and j < best.lo):
-                    best = ArraySegment(j, end)
-        return best
-
-    def _reach_back(self, x: int, r: int, hi_bound: int) -> Optional[ArraySegment]:
-        """Mirror of _reach_from: earliest-starting segment with end in
-        [r, hi_bound] and start >= x."""
-        if r < x:
-            return None
-        best: Optional[ArraySegment] = None
-        length = min(self.d, r - x + 1)
-        if length >= 1:
-            best = ArraySegment(r - length + 1, r)
-        if self.has_family2:
-            for length in self._family2_lengths:
-                j = self._f2_first_start(length, max(x, r - length + 1))
-                if j is None:
-                    continue
-                end = j + length - 1
-                if end > hi_bound:
-                    continue
-                if best is None or j < best.lo or (j == best.lo and end < best.hi):
-                    best = ArraySegment(j, end)
-        return best
 
     def _largest_inside(self, x: int, y: int) -> int:
         """Largest committed segment length with an instance inside [x, y]."""
@@ -172,7 +124,8 @@ class ArrayPacking:
     # -- operations ----------------------------------------------------------
 
     def _span_reaching(self, p: int, y: int, lo_bound: int) -> tuple[int, int]:
-        """Allocation-free _reach_from returning a (lo, hi) tuple."""
+        """Farthest-reaching committed segment with start in [lo_bound, p]
+        and end <= y, ties broken toward the smaller start, as (lo, hi)."""
         d = self.d
         m = self.m
         length = min(d, y - p + 1)
@@ -196,7 +149,8 @@ class ArrayPacking:
         return blo, bhi
 
     def _span_back(self, x: int, r: int, hi_bound: int) -> tuple[int, int]:
-        """Allocation-free _reach_back returning a (lo, hi) tuple."""
+        """Earliest-starting committed segment with start >= x and end in
+        [r, hi_bound], ties broken toward the smaller end, as (lo, hi)."""
         d = self.d
         m = self.m
         length = min(d, r - x + 1)

@@ -167,37 +167,6 @@ class PersistentMirror:
         return root.size if root else 0
 
 
-class ListMirror:
-    """Plain-list mirror for engines whose per-step unit bounds are not under
-    test; snapshots copy the list."""
-
-    def __init__(self, meter: WorkMeter, seed: int = 0) -> None:
-        self.meter = meter
-        self.items: list = []
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def apply(self, op: Operation) -> Any:
-        self.meter.ticks += 1
-        if op.kind == INSERT:
-            self.items.insert(op.position - 1, op.value)
-            return None
-        return self.items.pop(op.position - 1)
-
-    def snapshot(self) -> Any:
-        self.meter.ticks += len(self.items)
-        return list(self.items)
-
-    @staticmethod
-    def iter_snapshot(snap) -> Iterator[Any]:
-        return iter(snap)
-
-    @staticmethod
-    def snapshot_len(snap) -> int:
-        return len(snap)
-
-
 class NullMirror:
     """For block algorithms that snapshot shared state of their own."""
 
@@ -244,7 +213,6 @@ class WrappedEstimator:
         self.meter: WorkMeter = mirror.meter
         self.live_instances = 0
         self.max_live_instances = 0
-        self.steps = 0
         self._active: Optional[BlockAlgorithm] = None
         self._active_used = 0
         self._warming: Optional[BlockAlgorithm] = None
@@ -289,7 +257,6 @@ class WrappedEstimator:
     def apply(self, op: Operation):
         """Feed one operation; returns the mirror's op context (for deletes,
         the removed value where the mirror tracks content)."""
-        self.steps += 1
         ctx = self.mirror.apply(op)
         self._active.apply(op, ctx)
         self._active_used += 1

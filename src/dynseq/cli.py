@@ -63,38 +63,27 @@ def _read_array(path: str) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# replay helpers
+# engines and the replay driver
+
+# name -> (epsilon, meter, seed) -> engine, for the commands that pick one
+ENGINES = {
+    "naive": lambda eps, meter, seed: naive_engine(meter=meter),
+    "sqrt": lambda eps, meter, seed: sqrt_engine(eps, meter=meter, seed=seed),
+    "hier": lambda eps, meter, seed: hierarchy_engine(eps, meter=meter, seed=seed),
+    "dtm": lambda eps, meter, seed: DtmDynamic(eps, meter=meter, seed=seed),
+    "lisplus": lambda eps, meter, seed: LisPlus(meter=meter, seed=seed),
+}
 
 
-def _replay_lis(engine, items, audit: bool, ratio_bound, out) -> None:
-    """Drive a LIS engine through a stream; print one line per query."""
+def replay(engine, items, on_query) -> None:
+    """Apply each update to ``engine`` and to a shadow list of the array;
+    hand each query to ``on_query(step, shadow)``, where ``step`` counts
+    the updates so far."""
     shadow: list[int] = []
     step = 0
     for item in items:
         if item == QUERY:
-            est = engine.query()
-            line = f"step={step} estimate={est}"
-            if audit:
-                oracle = lis_length(shadow)
-                line += f" oracle={oracle}"
-                if est > oracle:
-                    print(line, file=out)
-                    raise AuditError(f"estimate {est} exceeds oracle {oracle} at step {step}")
-                if ratio_bound is not None and oracle > ratio_bound * max(est, 1) + 1e-9:
-                    print(line, file=out)
-                    raise AuditError(
-                        f"ratio {oracle}/{est} above {ratio_bound} at step {step}")
-                witness = engine.extract()
-                if len(witness) != est:
-                    raise AuditError(f"witness length {len(witness)} != estimate {est}")
-                prev = None
-                for pos, val in witness:
-                    if not 1 <= pos <= len(shadow) or shadow[pos - 1] != val:
-                        raise AuditError(f"witness element ({pos}, {val}) not in array")
-                    if prev is not None and (pos <= prev[0] or val <= prev[1]):
-                        raise AuditError("witness not strictly increasing")
-                    prev = (pos, val)
-            print(line, file=out)
+            on_query(step, shadow)
             continue
         engine.apply(item)
         if item.kind == INSERT:
@@ -102,79 +91,90 @@ def _replay_lis(engine, items, audit: bool, ratio_bound, out) -> None:
         else:
             shadow.pop(item.position - 1)
         step += 1
+
+
+def _lis_audit(ratio_bound: Optional[float]):
+    """A lower bound on the LIS, within ``ratio_bound`` of it if one is
+    given, with a witness of that length drawn from the array."""
+    def audit(engine, est, oracle, step, shadow) -> None:
+        if est > oracle:
+            raise AuditError(f"estimate {est} exceeds oracle {oracle} at step {step}")
+        if ratio_bound is not None and oracle > ratio_bound * max(est, 1) + 1e-9:
+            raise AuditError(f"ratio {oracle}/{est} above {ratio_bound} at step {step}")
+        witness = engine.extract()
+        if len(witness) != est:
+            raise AuditError(f"witness length {len(witness)} != estimate {est}")
+        prev = None
+        for pos, val in witness:
+            if not 1 <= pos <= len(shadow) or shadow[pos - 1] != val:
+                raise AuditError(f"witness element ({pos}, {val}) not in array")
+            if prev is not None and (pos <= prev[0] or val <= prev[1]):
+                raise AuditError("witness not strictly increasing")
+            prev = (pos, val)
+    return audit
+
+
+def _lis_plus_audit(engine, est, oracle, step, shadow) -> None:
+    """A lower bound on the LIS within a factor 3 log2(n) + 3 of it."""
+    n = len(shadow)
+    factor = 3 * int(math.log2(n)) + 3 if n > 1 else 1
+    if est > oracle:
+        raise AuditError(f"estimate {est} exceeds oracle {oracle}")
+    if oracle > est * factor:
+        raise AuditError(f"oracle {oracle} above {est} * {factor}")
+
+
+def _dtm_audit(epsilon: float):
+    """An upper bound on the DTM within a factor 1 + 3 eps of it."""
+    def audit(engine, rep, exact, step, shadow) -> None:
+        if rep < exact:
+            raise AuditError(f"reported {rep} below exact {exact}")
+        if rep > (1 + 3 * epsilon) * max(exact, 1) + 1e-9:
+            raise AuditError(f"reported {rep} above bound for exact {exact}")
+    return audit
+
+
+def _dtm_oracle(shadow: list[int]) -> int:
+    return len(shadow) - lis_length(shadow)
+
+
+def _replay_stream(args, out, engine, audit, oracle=lis_length) -> int:
+    """Replay ``--stream`` through ``engine`` and print each estimate; under
+    ``--audit`` print the oracle's value next to it, then hold the estimate
+    to ``audit(engine, estimate, oracle_value, step, shadow)``."""
+    items = parse_stream(_read_text(args.stream))
+
+    def on_query(step: int, shadow: list[int]) -> None:
+        est = engine.query()
+        if not args.audit:
+            print(f"step={step} estimate={est}", file=out)
+            return
+        exact = oracle(shadow)
+        print(f"step={step} estimate={est} oracle={exact}", file=out)
+        audit(engine, est, exact, step, shadow)
+
+    replay(engine, items, on_query)
+    return EXIT_OK
 
 
 def cmd_lis_dyn(args, out) -> int:
-    items = parse_stream(_read_text(args.stream))
-    fault = args.fault == "skip-segment"
-    if args.engine == "naive":
-        engine = naive_engine()
-        bound = 1.0
-    elif args.engine == "sqrt":
-        engine = sqrt_engine(args.epsilon, seed=args.seed)
-        bound = 1.0 + args.epsilon
-    else:
-        engine = hierarchy_engine(args.epsilon, seed=args.seed)
-        if fault:
-            engine.ctx.fault_skip_segment = True
-        bound = None  # constant-factor engine: audited for soundness only
-    if fault and args.engine != "hier":
-        raise StreamError("--fault skip-segment applies to the hier engine")
-    _replay_lis(engine, items, args.audit, bound, out)
-    return EXIT_OK
+    engine = ENGINES[args.engine](args.epsilon, None, args.seed)
+    if args.fault == "skip-segment":
+        if args.engine != "hier":
+            raise StreamError("--fault skip-segment applies to the hier engine")
+        engine.ctx.fault_skip_segment = True
+    # hier is a constant-factor engine: audited for soundness only
+    bound = {"naive": 1.0, "sqrt": 1.0 + args.epsilon}.get(args.engine)
+    return _replay_stream(args, out, engine, _lis_audit(bound))
 
 
 def cmd_lis_plus(args, out) -> int:
-    items = parse_stream(_read_text(args.stream))
-    engine = LisPlus(seed=args.seed)
-    shadow: list[int] = []
-    step = 0
-    for item in items:
-        if item == QUERY:
-            est = engine.query()
-            line = f"step={step} estimate={est}"
-            if args.audit:
-                oracle = lis_length(shadow)
-                n = len(shadow)
-                factor = 3 * int(math.log2(n)) + 3 if n > 1 else 1
-                line += f" oracle={oracle}"
-                if est > oracle:
-                    raise AuditError(f"estimate {est} exceeds oracle {oracle}")
-                if oracle > est * factor:
-                    raise AuditError(f"oracle {oracle} above {est} * {factor}")
-            print(line, file=out)
-            continue
-        engine.apply(item)
-        shadow.insert(item.position - 1, item.value)
-        step += 1
-    return EXIT_OK
+    return _replay_stream(args, out, LisPlus(seed=args.seed), _lis_plus_audit)
 
 
 def cmd_dtm_dyn(args, out) -> int:
-    items = parse_stream(_read_text(args.stream))
-    engine = DtmDynamic(args.epsilon, seed=args.seed)
-    shadow: list[int] = []
-    step = 0
-    for item in items:
-        if item == QUERY:
-            rep = engine.query()
-            line = f"step={step} estimate={rep}"
-            if args.audit:
-                exact = len(shadow) - lis_length(shadow)
-                line += f" oracle={exact}"
-                if rep < exact:
-                    raise AuditError(f"reported {rep} below exact {exact}")
-                if rep > (1 + 3 * args.epsilon) * max(exact, 1) + 1e-9:
-                    raise AuditError(f"reported {rep} above bound for exact {exact}")
-            print(line, file=out)
-            continue
-        engine.apply(item)
-        if item.kind == INSERT:
-            shadow.insert(item.position - 1, item.value)
-        else:
-            shadow.pop(item.position - 1)
-        step += 1
-    return EXIT_OK
+    return _replay_stream(args, out, DtmDynamic(args.epsilon, seed=args.seed),
+                          _dtm_audit(args.epsilon), oracle=_dtm_oracle)
 
 
 def cmd_dtm_seq(args, out) -> int:
@@ -261,71 +261,73 @@ def cmd_oracle(args, out) -> int:
 
 
 def _percentile(sorted_vals, q: float):
-    if not sorted_vals:
-        return 0
     i = min(len(sorted_vals) - 1, int(q * (len(sorted_vals) - 1) + 0.5))
     return sorted_vals[i]
 
 
 def cmd_bench(args, out) -> int:
-    engines = args.engines.split(",")
-    sizes = [int(s) for s in args.sizes.split(",")]
-    kinds = args.kinds.split(",")
-    for name in engines:
-        for kind in kinds:
+    for name in args.engines.split(","):
+        if name not in ENGINES:
+            raise StreamError(f"unknown engine {name!r}")
+        for kind in args.kinds.split(","):
             if kind not in KINDS:
                 raise StreamError(f"unknown stream kind {kind!r}")
-            for n in sizes:
-                meter = WorkMeter()
-                insert_only = name == "lisplus"
-                if name == "naive":
-                    engine = naive_engine(meter=meter)
-                elif name == "sqrt":
-                    engine = sqrt_engine(args.epsilon, meter=meter, seed=args.seed)
-                elif name == "hier":
-                    engine = hierarchy_engine(args.epsilon, meter=meter, seed=args.seed)
-                elif name == "dtm":
-                    engine = DtmDynamic(args.epsilon, meter=meter, seed=args.seed)
-                elif name == "lisplus":
-                    engine = LisPlus(meter=meter, seed=args.seed)
-                else:
-                    raise StreamError(f"unknown engine {name!r}")
-                items = generate_stream(kind, n, args.seed, insert_only=insert_only)
-                shadow: list[int] = []
-                per_step: list[int] = []
-                ratio_max = 1.0
-                check_every = max(1, len(items) // 50)
-                for t, item in enumerate(items):
-                    before = meter.ticks
-                    engine.apply(item)
-                    est = engine.query()
-                    per_step.append(meter.ticks - before)
-                    if item.kind == INSERT:
-                        shadow.insert(item.position - 1, item.value)
-                    else:
-                        shadow.pop(item.position - 1)
-                    if t % check_every == 0:
-                        oracle = lis_length(shadow)
-                        if name == "dtm":
-                            oracle = len(shadow) - oracle
-                            if est > 0:
-                                ratio_max = max(ratio_max, est / max(oracle, 1))
-                        elif est > 0:
-                            ratio_max = max(ratio_max, oracle / est)
-                per_step.sort()
-                touched = getattr(getattr(engine, "ctx", None), "touched_segments", 0)
-                print(
-                    f"bench engine={name} kind={kind} n={n} seed={args.seed} "
-                    f"epsilon={args.epsilon} steps={len(per_step)} "
-                    f"work_p50={_percentile(per_step, 0.50)} "
-                    f"work_p95={_percentile(per_step, 0.95)} "
-                    f"work_max={per_step[-1] if per_step else 0} "
-                    f"touched={touched} ratio_max={ratio_max:.4f}",
-                    file=out)
+            for n in args.sizes:
+                print(_bench_record(args, name, kind, n), file=out)
     return EXIT_OK
 
 
+def _bench_record(args, name: str, kind: str, n: int) -> str:
+    """One engine on one stream of n updates, each followed by a query: the
+    ticks of each update with its query, and the worst estimate-to-oracle
+    ratio over every (n/50)-th step."""
+    meter = WorkMeter()
+    engine = ENGINES[name](args.epsilon, meter, args.seed)
+    items = generate_stream(kind, n, args.seed, insert_only=name == "lisplus",
+                            query_every=1)
+    check_every = max(1, n // 50)
+    marks = [meter.ticks]   # after each query; only one update ticks in between
+    ratios = [1.0]
+
+    def on_query(step: int, shadow: list[int]) -> None:
+        est = engine.query()
+        marks.append(meter.ticks)
+        if est > 0 and (step - 1) % check_every == 0:
+            if name == "dtm":
+                ratios.append(est / max(_dtm_oracle(shadow), 1))
+            else:
+                ratios.append(lis_length(shadow) / est)
+
+    replay(engine, items, on_query)
+    per_step = sorted(b - a for a, b in zip(marks, marks[1:]))
+    touched = getattr(getattr(engine, "ctx", None), "touched_segments", 0)
+    return (f"bench engine={name} kind={kind} n={n} seed={args.seed} "
+            f"epsilon={args.epsilon} steps={len(per_step)} "
+            f"work_p50={_percentile(per_step, 0.50)} "
+            f"work_p95={_percentile(per_step, 0.95)} "
+            f"work_max={per_step[-1]} "
+            f"touched={touched} ratio_max={max(ratios):.4f}")
+
+
 # ---------------------------------------------------------------------------
+# parameter types: argparse turns their ValueError into a usage error (exit 2)
+
+
+def _checked(parse, ok, name: str):
+    def convert(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(text)
+        return value
+    convert.__name__ = name   # argparse says "invalid <name> value"
+    return convert
+
+
+_FRACTION = _checked(float, lambda x: 0.0 < x < 1.0, "number in (0, 1)")
+_POSITIVE = _checked(float, lambda x: 0.0 < x < math.inf, "positive number")
+_COUNT = _checked(int, lambda n: n > 0, "positive integer")
+_COUNTS = _checked(lambda text: [int(tok) for tok in text.split(",")],
+                   lambda ns: min(ns) > 0, "list of positive integers")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lis-dyn", help="dynamic LIS over an operation stream")
     p.add_argument("--engine", choices=["naive", "sqrt", "hier"], required=True)
-    p.add_argument("--epsilon", type=float, default=0.5)
+    p.add_argument("--epsilon", type=_FRACTION, default=0.5)
     p.add_argument("--stream", required=True)
     p.add_argument("--audit", action="store_true",
                    help="cross-check estimates and witnesses per query")
@@ -356,36 +358,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lis_plus)
 
     p = sub.add_parser("dtm-dyn", help="dynamic distance to monotonicity")
-    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument("--epsilon", type=_POSITIVE, default=0.1)
     p.add_argument("--stream", required=True)
     p.add_argument("--audit", action="store_true")
     add_seed(p)
     p.set_defaults(func=cmd_dtm_dyn)
 
     p = sub.add_parser("dtm-seq", help="sequential distance to monotonicity")
-    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument("--epsilon", type=_POSITIVE, default=0.1)
     p.add_argument("--array", required=True)
     p.set_defaults(func=cmd_dtm_seq)
 
     p = sub.add_parser("partition", help="monotone partitioning")
     p.add_argument("--engine", choices=["dynamic", "baseline"], required=True)
-    p.add_argument("--epsilon", type=float, default=0.8)
+    p.add_argument("--epsilon", type=_FRACTION, default=0.8)
     p.add_argument("--input", required=True)
     p.add_argument("--output", default="-")
     add_seed(p)
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("packing", help="inspect an array packing")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--kappa", type=float, required=True)
+    p.add_argument("--m", type=_COUNT, required=True)
+    p.add_argument("--kappa", type=_FRACTION, required=True)
     p.add_argument("--dump", action="store_true")
     p.add_argument("--fault", choices=["none", "no-family2"], default="none")
     p.set_defaults(func=cmd_packing)
 
     p = sub.add_parser("gridpack", help="measure grid-packing quality")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--m", type=_COUNT, required=True)
+    p.add_argument("--kappa", type=_FRACTION, required=True)
+    p.add_argument("--trials", type=_COUNT, default=100)
     p.add_argument("--fault", choices=["none", "no-family2"], default="none")
     add_seed(p)
     p.set_defaults(func=cmd_gridpack)
@@ -397,9 +399,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="work-unit benchmark harness")
     p.add_argument("--engines", required=True,
                    help="comma list: naive,sqrt,hier,dtm,lisplus")
-    p.add_argument("--sizes", required=True, help="comma list of op counts")
+    p.add_argument("--sizes", type=_COUNTS, required=True,
+                   help="comma list of op counts")
     p.add_argument("--kinds", default="uniform,sorted,reverse,sawtooth")
-    p.add_argument("--epsilon", type=float, default=0.5)
+    p.add_argument("--epsilon", type=_FRACTION, default=0.5)
     add_seed(p)
     p.set_defaults(func=cmd_bench)
     return ap

@@ -13,7 +13,8 @@ and solves a weighted instance of size O(k).
 
 The dynamic (1+eps) engine recomputes the exact value d at the start of
 each block generation and reports d + i at local step i, valid because one
-operation changes the optimum by at most one.
+operation changes the optimum by at most one.  The report is capped at the
+array length, which the optimum never exceeds.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from typing import Optional, Sequence
 
 from .block_scheduler import GeneratorBlock, NullMirror, wrap
 from .classic import lis_length, weighted_his
-from .indexed_sequence import (INSERT, DuplicateValueError, IndexedSeq,
-                               Operation, PositionError, Seq)
+from .indexed_sequence import INSERT, IndexedSeq, Operation, Seq
 from .work import WorkMeter
 
 
@@ -57,10 +57,12 @@ class InversionMatching:
         return len(self.backing)
 
     def apply(self, op: Operation):
+        """Apply one update; a rejected one changes nothing."""
         if op.kind == INSERT:
             h = self.backing.apply(op)
             self._place(h)
             return None
+        self.backing._check(op)  # the engines' message, not handle_at's
         h = self.backing.handle_at(op.position)
         kind, data, _ = self._state.pop(id(h))
         removed = self.backing.apply(op)
@@ -277,7 +279,6 @@ class DtmDynamic:
         self.epsilon = epsilon
         self.meter = meter if meter is not None else WorkMeter()
         self.matching = InversionMatching(meter=self.meter, seed=seed)
-        self._values: set = set()
         self._wrapped = wrap(lambda snap: _DtmBlock(self.matching, epsilon),
                              NullMirror(self.meter))
 
@@ -285,23 +286,11 @@ class DtmDynamic:
         return len(self.matching)
 
     def apply(self, op: Operation) -> None:
-        n = len(self.matching)
-        if op.kind == INSERT:
-            if not 1 <= op.position <= n + 1:
-                raise PositionError(f"insert position {op.position} outside [1, {n + 1}]")
-            if op.value in self._values:
-                raise DuplicateValueError(f"value {op.value} already present")
-        elif not 1 <= op.position <= n:
-            raise PositionError(f"delete position {op.position} outside [1, {n}]")
-        removed = self.matching.apply(op)
-        if op.kind == INSERT:
-            self._values.add(op.value)
-        else:
-            self._values.discard(removed)
+        self.matching.apply(op)
         self._wrapped.apply(op)
 
     def query(self) -> int:
-        return self._wrapped.query()
+        return min(self._wrapped.query(), len(self))
 
     def approx2_query(self) -> tuple[int, int]:
         return self.matching.approx2_query()

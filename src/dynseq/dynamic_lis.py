@@ -20,7 +20,6 @@ lists and an element's routing never changes while positions shift.
 from __future__ import annotations
 
 import math
-import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Any, Callable, Optional
@@ -30,8 +29,7 @@ from .block_scheduler import (GeneratorBlock, PersistentMirror,
 from .classic import lis_extract, lis_length
 from .exact_lis import ExactDynamicLis
 from .grid_packing import GridPacking
-from .indexed_sequence import (DELETE, INSERT, DuplicateValueError, IndexedSeq,
-                               Operation, PositionError)
+from .indexed_sequence import DELETE, INSERT, IndexedSeq, Operation, _check_op
 from .work import WorkMeter
 
 KEY_GAP = 1 << 96
@@ -49,20 +47,27 @@ def _key_between(lo, hi):
 class EngineContext:
     """Shared configuration and counters for one engine stack."""
 
-    __slots__ = ("kappa", "cutoff", "meter", "rng", "touched_segments",
-                 "child_applies", "fault_skip_segment", "m_override")
+    __slots__ = ("kappa", "cutoff", "meter", "touched_segments",
+                 "fault_skip_segment", "m_override", "_grids")
 
-    def __init__(self, kappa: float, meter: WorkMeter, seed: int = 0,
+    def __init__(self, kappa: float, meter: WorkMeter,
                  cutoff: int = BASE_CUTOFF, fault_skip_segment: bool = False,
                  m_override: Optional[int] = None) -> None:
         self.kappa = kappa
         self.cutoff = cutoff
         self.meter = meter
-        self.rng = random.Random(seed ^ 0xD15C0)
         self.touched_segments = 0
-        self.child_applies = 0
         self.fault_skip_segment = fault_skip_segment
         self.m_override = m_override
+        self._grids: dict[int, GridPacking] = {}
+
+    def grid(self, m: int) -> GridPacking:
+        """The m x m packing at this engine's kappa; immutable, so every
+        generation of every level shares one."""
+        g = self._grids.get(m)
+        if g is None:
+            g = self._grids[m] = GridPacking(m, self.kappa)
+        return g
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +257,7 @@ class GridBlock(GeneratorBlock):
         self.col_sizes = sizes
         self._col_limit = 2 * max(sizes) + 2
         yield
-        self.grid = GridPacking(m, self.ctx.kappa,
-                                family2=True)
+        self.grid = self.ctx.grid(m)
         meter.ticks += len(self.grid.segments)
         yield
         # per-segment membership in array order
@@ -300,7 +304,6 @@ class GridBlock(GeneratorBlock):
             sids = sids[:-1]
         self.ctx.touched_segments += len(sids)
         for sid in sids:
-            self.ctx.child_applies += 1
             child = self.children[sid]
             if kind == INSERT:
                 child.insert(key, value)
@@ -398,16 +401,7 @@ class _PositionalBase:
         self._len = 0
 
     def _check(self, op: Operation) -> None:
-        if op.kind == INSERT:
-            if not 1 <= op.position <= self._len + 1:
-                raise PositionError(
-                    f"insert position {op.position} outside [1, {self._len + 1}]")
-            if op.value in self._values:
-                raise DuplicateValueError(f"value {op.value} already present")
-        else:
-            if not 1 <= op.position <= self._len:
-                raise PositionError(
-                    f"delete position {op.position} outside [1, {self._len}]")
+        _check_op(op, self._len, self._values)
 
     def _note(self, op: Operation, removed=None) -> None:
         if op.kind == INSERT:
@@ -595,7 +589,7 @@ class GridLis(_PositionalBase):
         if not 0.0 < kappa < 1.0:
             raise ValueError("kappa must lie in (0, 1)")
         super().__init__(meter)
-        self.ctx = EngineContext(kappa, self.meter, seed=seed, cutoff=cutoff,
+        self.ctx = EngineContext(kappa, self.meter, cutoff=cutoff,
                                  fault_skip_segment=fault_skip_segment,
                                  m_override=m_override)
         # children of the single grid level stay exact
@@ -673,8 +667,7 @@ class HierarchyLis(_PositionalBase):
         self.epsilon = epsilon
         self.depth = math.ceil(4.0 / epsilon)
         self.kappa = epsilon / 2.0
-        self.ctx = EngineContext(self.kappa, self.meter, seed=seed,
-                                 cutoff=cutoff,
+        self.ctx = EngineContext(self.kappa, self.meter, cutoff=cutoff,
                                  fault_skip_segment=fault_skip_segment)
         self._front = _KeyedFrontend(self.depth, self.ctx)
 

@@ -46,6 +46,19 @@ class Operation:
             raise ValueError("insert requires a value")
 
 
+def _check_op(op: Operation, n: int, values: set) -> None:
+    """The rule every engine applies before an update changes any state:
+    positions within the current length ``n``, no value of ``values``
+    inserted twice."""
+    if op.kind == INSERT:
+        if not 1 <= op.position <= n + 1:
+            raise PositionError(f"insert position {op.position} outside [1, {n + 1}]")
+        if op.value in values:
+            raise DuplicateValueError(f"value {op.value} already present")
+    elif not 1 <= op.position <= n:
+        raise PositionError(f"delete position {op.position} outside [1, {n}]")
+
+
 def ins(position: int, value: int) -> Operation:
     return Operation(INSERT, position, value)
 
@@ -368,20 +381,16 @@ class IndexedSeq:
     def __iter__(self) -> Iterator[int]:
         return iter(self._seq)
 
+    def _check(self, op: Operation) -> None:
+        _check_op(op, len(self), self._values)
+
     def apply(self, op: Operation):
         """Apply one operation. Returns the new handle for an insert, the
         removed value for a delete."""
-        n = len(self)
+        self._check(op)
         if op.kind == INSERT:
-            if not 1 <= op.position <= n + 1:
-                raise PositionError(
-                    f"insert position {op.position} outside [1, {n + 1}]")
-            if op.value in self._values:
-                raise DuplicateValueError(f"value {op.value} already present")
             self._values.add(op.value)
             return self._seq.insert(op.position, op.value)
-        if not 1 <= op.position <= n:
-            raise PositionError(f"delete position {op.position} outside [1, {n}]")
         node = self._seq.delete_at(op.position)
         self._values.discard(node.value)
         return node.value

@@ -64,6 +64,8 @@ class LisPlus:
         self.insert(op.position, op.value)
 
     def insert(self, pos: int, value) -> None:
+        # checked before _pump, so that a rejected insert changes nothing
+        self.backing._check(Operation(INSERT, pos, value))
         self._pump()
         h = self.backing.insert(pos, value)
         unit = Bucket(1, [h], Bucket.FINAL, lis_value=1)

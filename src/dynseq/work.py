@@ -17,12 +17,6 @@ class WorkMeter:
     def __init__(self) -> None:
         self.ticks = 0
 
-    def charge(self, units: int = 1) -> None:
-        self.ticks += units
-
-    def delta(self, since: int) -> int:
-        return self.ticks - since
-
 
 # Meter used by structures created without an explicit one.  Each engine
 # creates its own meter, so this only serves ad-hoc / interactive use.

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from dynseq.block_scheduler import (ContractViolationError, GeneratorBlock,
-                                    ListMirror, PersistentMirror, wrap)
+                                    PersistentMirror, wrap)
 from dynseq.classic import lis_length
 from dynseq.dynamic_lis import sqrt_engine
 from dynseq.indexed_sequence import INSERT, dele, ins
@@ -118,26 +118,6 @@ def test_mirror_snapshots_are_frozen():
     mir.apply(dele(3))
     assert list(PersistentMirror.iter_snapshot(snap)) == [10, 20]
     assert PersistentMirror.snapshot_len(snap) == 2
-
-
-def test_list_mirror_matches_persistent():
-    meter = WorkMeter()
-    a = PersistentMirror(meter, seed=4)
-    b = ListMirror(meter)
-    rng = random.Random(4)
-    used = set()
-    n = 0
-    for _ in range(400):
-        if n and rng.random() < 0.45:
-            op = dele(rng.randint(1, n))
-            n -= 1
-        else:
-            (v,) = fresh_values(rng, used)
-            op = ins(rng.randint(1, n + 1), v)
-            n += 1
-        a.apply(op)
-        b.apply(op)
-    assert list(PersistentMirror.iter_snapshot(a.snapshot())) == b.snapshot()
 
 
 def test_unready_successor_is_a_contract_violation():

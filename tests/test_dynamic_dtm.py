@@ -8,6 +8,7 @@ from dynseq.dynamic_dtm import (CoverContractError, DtmDynamic,
                                 sequential_dtm, stack_matching)
 from dynseq.classic import brute_dtm
 from dynseq.indexed_sequence import dele, ins
+from dynseq.streams import generate_stream
 from oracles import fenwick_dtm, fresh_values
 
 
@@ -142,6 +143,16 @@ def test_dynamic_engine_sorted_stream_stays_exact():
     for i in range(200):
         e.apply(ins(i + 1, i * 3))
         assert e.query() == 0
+
+
+def test_estimate_never_exceeds_length_on_reverse_stream():
+    # a reversed array has DTM n - 1 and long generations, so d + i would
+    # pass n at most steps without the cap
+    for eps in (0.1, 0.5):
+        e = DtmDynamic(eps, seed=1)
+        for step, op in enumerate(generate_stream("reverse", 500, 1)):
+            e.apply(op)
+            assert e.query() <= len(e), (eps, step)
 
 
 def test_deletions_shrinking_dtm_keep_upper_bound():

@@ -4,10 +4,12 @@ import random
 import pytest
 
 from dynseq.classic import lis_length
+from dynseq.dynamic_dtm import DtmDynamic
 from dynseq.dynamic_lis import (GridBlock, grid_engine, hierarchy_engine,
                                 naive_engine, sqrt_engine)
-from dynseq.indexed_sequence import (DuplicateValueError, PositionError, dele,
-                                     ins)
+from dynseq.indexed_sequence import (INSERT, DuplicateValueError, PositionError,
+                                     dele, ins)
+from dynseq.lis_plus import LisPlus
 from dynseq.work import WorkMeter
 from oracles import fenwick_lis, fresh_values
 
@@ -57,14 +59,28 @@ def test_naive_exact_and_empty():
 
 
 def test_engine_validation():
-    for eng in (naive_engine(), sqrt_engine(0.5), hierarchy_engine(0.8)):
-        eng.apply(ins(1, 5))
-        with pytest.raises(PositionError):
-            eng.apply(ins(5, 6))
-        with pytest.raises(DuplicateValueError):
-            eng.apply(ins(1, 5))
-        with pytest.raises(PositionError):
-            eng.apply(dele(2))
+    engines = {"naive": naive_engine(), "sqrt": sqrt_engine(0.5),
+               "hier": hierarchy_engine(0.8), "grid": grid_engine(0.5),
+               "dtm": DtmDynamic(0.5), "lisplus": LisPlus()}
+    for eng in engines.values():
+        for i, v in enumerate([50, 20, 70, 10, 40, 60, 30]):
+            eng.apply(ins(i + 1, v))
+
+    def state(name, eng):
+        buckets = eng.bucket_sizes() if name == "lisplus" else None
+        return len(eng), eng.query(), buckets
+
+    for op in (ins(99, 5), ins(0, 5), ins(3, 40), dele(8), dele(0)):
+        errors = set()
+        for name, eng in engines.items():
+            if name == "lisplus" and op.kind != INSERT:
+                continue  # deletes are rejected as such; test_lis_plus covers them
+            before = state(name, eng)
+            with pytest.raises((PositionError, DuplicateValueError)) as exc:
+                eng.apply(op)
+            errors.add((type(exc.value), str(exc.value)))
+            assert state(name, eng) == before, (name, op)
+        assert len(errors) == 1, (op, errors)
     with pytest.raises(ValueError):
         sqrt_engine(0.0)
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import io
 import random
+from pathlib import Path
 
 import pytest
 
@@ -192,7 +193,41 @@ def test_bench_reproducible():
     assert out1.count("bench engine=") == 4
 
 
+def test_bench_matches_committed_output():
+    # written by the per-command replay loops that the shared driver
+    # replaced; one edit since: the engine=dtm kind=reverse ratio_max,
+    # lowered by capping the DTM estimate at n
+    golden = Path(__file__).parent / "data" / "bench_sizes200_seed7.txt"
+    rc, out = run_cli("bench", "--engines", "naive,sqrt,hier,dtm,lisplus",
+                      "--sizes", "200", "--seed", "7")
+    assert rc == 0
+    assert out == golden.read_text()
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["lis-dyn"])  # missing required flags
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["lis-dyn", "--engine", "sqrt", "--stream", "{stream}", "--epsilon", "1.5"],
+    ["dtm-dyn", "--stream", "{stream}", "--epsilon", "-1"],
+    ["partition", "--engine", "dynamic", "--input", "{array}", "--epsilon", "2"],
+    ["packing", "--kappa", "0.5", "--m", "0"],
+    ["gridpack", "--m", "8", "--kappa", "2"],
+    ["gridpack", "--m", "8", "--kappa", "0.5", "--trials", "0"],
+    ["bench", "--engines", "naive", "--sizes", "x"],
+    ["bench", "--engines", "naive", "--sizes", "-5"],
+])
+def test_bad_parameter_is_usage_error(tmp_path, capsys, argv):
+    # the last option holds the bad value; the rest are valid
+    stream = tmp_path / "s.txt"
+    stream.write_text("I 1 5\nQ\n")
+    array = tmp_path / "a.txt"
+    array.write_text("3 1 2")
+    argv = [a.format(stream=stream, array=array) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[-2]}: " in capsys.readouterr().err
