@@ -14,7 +14,10 @@ and solves a weighted instance of size O(k).
 The dynamic (1+eps) engine recomputes the exact value d at the start of
 each block generation and reports d + i at local step i, valid because one
 operation changes the optimum by at most one.  The report is capped at the
-array length, which the optimum never exceeds.
+array length, which the optimum never exceeds.  The recompute,
+``InversionMatching.exact_dtm``, runs the label route on the live matching
+in O(k log n) for k matched elements: it never visits the n - k unmatched
+ones one by one.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Optional, Sequence
 
 from .block_scheduler import GeneratorBlock, NullMirror, wrap
 from .classic import lis_length, weighted_his
-from .indexed_sequence import INSERT, IndexedSeq, Operation, Seq
+from .indexed_sequence import INSERT, IndexedSeq, Node, Operation, Seq
 from .work import WorkMeter
 
 
@@ -43,14 +46,16 @@ class InversionMatching:
     State: the live array (order-statistic tree), the unmatched elements in
     a value-ordered tree, and the pairing.  A new element needs only two
     probes: its value predecessor and successor among unmatched elements.
+    Every live element is either unmatched or matched, never both, so the
+    pairing dict holds the matched set, live, with no scan of the array.
     """
 
     def __init__(self, meter: Optional[WorkMeter] = None, seed: int = 0) -> None:
         self.meter = meter if meter is not None else WorkMeter()
         self.backing = IndexedSeq(meter=self.meter, seed=seed)
         self.tn = Seq(meter=self.meter)
-        # id(backing handle) -> ("N", tn node) | ("S", partner handle)
-        self._state: dict[int, tuple] = {}
+        self._tn_node: dict[int, Node] = {}  # id(unmatched handle) -> its tn node
+        self._mate: dict[int, Node] = {}     # id(matched handle) -> partner handle
         self.s_count = 0
 
     def __len__(self) -> int:
@@ -62,25 +67,23 @@ class InversionMatching:
             h = self.backing.apply(op)
             self._place(h)
             return None
-        self.backing._check(op)  # the engines' message, not handle_at's
-        h = self.backing.handle_at(op.position)
-        kind, data, _ = self._state.pop(id(h))
-        removed = self.backing.apply(op)
-        if kind == "N":
-            r = self.tn.rank_of(data)
+        h = self.backing._pop(op)
+        node = self._tn_node.pop(id(h), None)
+        if node is not None:
+            r = self.tn.rank_of(node)
             self.tn.detach_range(r, r)
         else:
-            partner = data
-            self._state.pop(id(partner))
+            partner = self._mate.pop(id(h))
+            del self._mate[id(partner)]
             self.s_count -= 1
             self._place(partner)
-        return removed
+        return h.value
 
     def _place(self, h) -> None:
         """Match h against the unmatched set or add it there."""
         v = h.value
         p = self.backing.position_of(h)
-        i = self.tn.rank_first(lambda n: n.value > v)
+        i = self.tn.rank_first_value_gt(v)
         mate_rank = 0
         if i > 1:
             pred = self.tn.node_at(i - 1)
@@ -94,18 +97,18 @@ class InversionMatching:
             mate_node = self.tn.node_at(mate_rank)
             mate = mate_node.extra
             self.tn.detach_range(mate_rank, mate_rank)
-            self._state[id(h)] = ("S", mate, h)
-            self._state[id(mate)] = ("S", h, mate)
+            del self._tn_node[id(mate)]
+            self._mate[id(h)] = mate
+            self._mate[id(mate)] = h
             self.s_count += 1
         else:
-            node = self.tn.insert(i, v, extra=h)
-            self._state[id(h)] = ("N", node, h)
+            self._tn_node[id(h)] = self.tn.insert(i, v, extra=h)
 
     def approx2_query(self) -> tuple[int, int]:
         return self.s_count, 2 * self.s_count
 
     def matched_handles(self) -> list:
-        return [e[2] for e in self._state.values() if e[0] == "S"]
+        return list(self._mate.values())
 
     def unmatched_double_monotone(self) -> bool:
         prev_pos = 0
@@ -118,30 +121,35 @@ class InversionMatching:
         return True
 
     def exact_dtm(self) -> int:
-        """Exact DTM of the live array from the matching state, via labels."""
+        """Exact DTM of the live array from the matching state, via labels.
+
+        O(k log n) for k matched elements: one position lookup and one value
+        descent per matched element, one selection per label class, and
+        the weighted instance ordered by unmatched rank, not by position.
+        """
         tn = self.tn
         nlen = len(tn)
-        matched = self.matched_handles()
+        pos = self.backing.position_of
+        matched = sorted((pos(h), h.value) for h in self.matched_handles())
         cuts = set()
-        cover_items = []
-        for h in matched:
-            v = h.value
-            p = self.backing.position_of(h)
-            rho = tn.rank_first(lambda n: self.backing.position_of(n.extra) > p) - 1
-            sigma = tn.rank_first(lambda n: n.value > v) - 1
+        items = []
+        for i, (p, v) in enumerate(matched):
+            # i matched elements precede position p, so p - 1 - i unmatched do
+            rho = p - 1 - i
+            sigma = tn.rank_first_value_gt(v) - 1
             lo, hi = (rho, sigma) if rho <= sigma else (sigma, rho)
             if lo < hi:
                 cuts.add(lo)
                 cuts.add(hi)
-            cover_items.append((p, v))
-        items = [(p, v, 1) for p, v in cover_items]
+            # just before the unmatched element of 0-based rank rho
+            items.append((rho, 0, v, 1))
         bounds = sorted(cuts | {0, nlen})
         for a, b in zip(bounds, bounds[1:]):
-            rep = tn.node_at(a + 1)
-            items.append((self.backing.position_of(rep.extra), rep.value, b - a))
-        items.sort()
+            items.append((a, 1, tn.node_at(a + 1).value, b - a))
+        # stable: matched elements of equal rho keep their position order
+        items.sort(key=lambda t: (t[0], t[1]))
         total = len(matched) + nlen
-        return total - weighted_his([(v, w) for _, v, w in items])
+        return total - weighted_his([(v, w) for _, _, v, w in items])
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +255,10 @@ class _DtmBlock(GeneratorBlock):
     def __init__(self, matching: InversionMatching, epsilon: float) -> None:
         super().__init__()
         k = matching.s_count
-        # exact computation happens at snapshot time; the matching keeps
-        # moving afterwards, so this cannot be spread across later steps
+        # computed here, at handover, in O(k log n): spreading it across the
+        # generation would need a frozen copy of the matching, since the
+        # live one keeps moving, and none is kept; so this step, not the
+        # plain updates, sets the worst-case update time
         self.d = matching.exact_dtm()
         self.i = 0
         self._cap = max(1, math.ceil(epsilon * k / 2.0))

@@ -247,6 +247,24 @@ class Seq:
         self.meter.ticks += ticks
         return res
 
+    def rank_first_value_gt(self, v) -> int:
+        """First rank whose value is above v; assumes values ascend along
+        the sequence (the unmatched-element tree of the DTM matching)."""
+        t = self.root
+        res = (t.size + 1) if t is not None else 1
+        acc = 0
+        ticks = 0
+        while t is not None:
+            ticks += 1
+            if t.value > v:
+                res = acc + (t.left.size if t.left is not None else 0) + 1
+                t = t.left
+            else:
+                acc += (t.left.size if t.left is not None else 0) + 1
+                t = t.right
+        self.meter.ticks += ticks
+        return res
+
     def __len__(self) -> int:
         return self.root.size if self.root is not None else 0
 
@@ -387,13 +405,24 @@ class IndexedSeq:
     def apply(self, op: Operation):
         """Apply one operation. Returns the new handle for an insert, the
         removed value for a delete."""
-        self._check(op)
         if op.kind == INSERT:
-            self._values.add(op.value)
-            return self._seq.insert(op.position, op.value)
+            self._check(op)
+            return self._insert_checked(op)
+        return self._pop(op).value
+
+    def _insert_checked(self, op: Operation) -> Node:
+        """Insert ``op``, which the caller has already passed through
+        ``_check``; returns the new handle."""
+        self._values.add(op.value)
+        return self._seq.insert(op.position, op.value)
+
+    def _pop(self, op: Operation) -> Node:
+        """Check and apply a delete, with no separate lookup of the handle;
+        returns the removed node, which is the element's handle."""
+        self._check(op)
         node = self._seq.delete_at(op.position)
         self._values.discard(node.value)
-        return node.value
+        return node
 
     def insert(self, position: int, value: int):
         return self.apply(Operation(INSERT, position, value))

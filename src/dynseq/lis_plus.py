@@ -64,10 +64,11 @@ class LisPlus:
         self.insert(op.position, op.value)
 
     def insert(self, pos: int, value) -> None:
-        # checked before _pump, so that a rejected insert changes nothing
-        self.backing._check(Operation(INSERT, pos, value))
+        # checked once, before _pump, so that a rejected insert changes nothing
+        op = Operation(INSERT, pos, value)
+        self.backing._check(op)
         self._pump()
-        h = self.backing.insert(pos, value)
+        h = self.backing._insert_checked(op)
         unit = Bucket(1, [h], Bucket.FINAL, lis_value=1)
         self.finalized.setdefault(1, []).append(unit)
         self._start_merges()

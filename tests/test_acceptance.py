@@ -10,6 +10,8 @@ import math
 import random
 import time
 
+import pytest
+
 from dynseq.array_packing import build_array_packing
 from dynseq.exact_lis import ExactDynamicLis
 from dynseq.classic import brute_dtm, brute_lis, lis_length
@@ -77,6 +79,7 @@ def test_criterion_1_exactness():
            f"{dp_checks} DP spot checks, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_2_sqrt_engine():
     t0 = time.time()
     kinds = ["uniform"] * 20 + ["sorted"] * 10 + ["sawtooth"] * 10 + ["reverse"] * 10
@@ -150,6 +153,7 @@ def test_criterion_3_grid_packing():
     report(3, "grid packing", f"{trials} matrices each; {detail}; {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_4_array_packing():
     t0 = time.time()
     # (a) one coverage constant across the size range
@@ -354,6 +358,7 @@ def test_criterion_7_lis_plus():
            f"every step; {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_8_partitioning():
     t0 = time.time()
     eps = 0.8

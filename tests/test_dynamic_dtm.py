@@ -6,8 +6,8 @@ from dynseq.dynamic_dtm import (CoverContractError, DtmDynamic,
                                 InversionMatching, exact_from_cover_labels,
                                 exact_from_cover_vc, labels_reduction,
                                 sequential_dtm, stack_matching)
-from dynseq.classic import brute_dtm
-from dynseq.indexed_sequence import dele, ins
+from dynseq.classic import brute_dtm, lis_length
+from dynseq.indexed_sequence import IndexedSeq, dele, ins
 from dynseq.streams import generate_stream
 from oracles import fenwick_dtm, fresh_values
 
@@ -50,6 +50,108 @@ def test_bracket_and_monotonicity_over_streams():
             dtm = fenwick_dtm(arr)
             assert s <= dtm <= two_s
             assert m.unmatched_double_monotone()
+
+
+def _assert_matched_set_live(m):
+    # every live element is matched or sits in the unmatched tree, so the
+    # matched set is the live handles less the tree's members
+    live = {id(m.backing.handle_at(p)) for p in range(1, len(m) + 1)}
+    unmatched = {id(node.extra) for node in m.tn.nodes()}
+    matched = {id(h) for h in m.matched_handles()}
+    assert matched == live - unmatched
+    assert len(m.matched_handles()) == 2 * m.s_count
+
+
+def _replay_exact(ops):
+    m = InversionMatching(seed=5)
+    arr = []
+    for step, op in enumerate(ops):
+        m.apply(op)
+        if op.kind == "I":
+            arr.insert(op.position - 1, op.value)
+        else:
+            arr.pop(op.position - 1)
+        assert m.exact_dtm() == len(arr) - lis_length(arr), step
+        _assert_matched_set_live(m)
+    return m
+
+
+@pytest.mark.parametrize("kind", ["sorted", "reverse", "uniform"])
+def test_exact_dtm_after_every_operation(kind):
+    m = _replay_exact(generate_stream(kind, 400, 3))
+    if kind == "sorted":
+        assert m.s_count == 0
+
+
+def _near_sorted_hitting_partners(seed):
+    """A sorted array with a few outliers, whose deletes remove matched
+    elements, so that partners return to the unmatched set and are placed
+    again.  Returns the operations and the number of such deletes."""
+    rng = random.Random(seed)
+    m = InversionMatching(seed=seed)
+    ops = [ins(i + 1, i << 20) for i in range(150)]
+    for op in ops:
+        m.apply(op)
+    hits = 0
+    for step in range(300):
+        if step % 3 == 0 and m.s_count:
+            matched = sorted(m.backing.position_of(h) for h in m.matched_handles())
+            op = dele(rng.choice(matched))
+            hits += 1
+        elif step % 3 == 1:
+            op = dele(rng.randint(1, len(m)))
+        else:
+            p = rng.randint(1, len(m) + 1)
+            if rng.random() < 0.3:  # an outlier
+                v = rng.randint(0, 200 << 20) | 1
+            else:  # between its neighbours
+                lo = m.backing.value_at(p - 1) if p > 1 else -(1 << 20)
+                hi = m.backing.value_at(p) if p <= len(m) else lo + (1 << 21)
+                v = (lo + hi) // 2
+            if v in m.backing:
+                continue
+            op = ins(p, v)
+        m.apply(op)
+        ops.append(op)
+    return ops, hits
+
+
+def test_exact_dtm_on_near_sorted_stream_deleting_partners():
+    ops, hits = _near_sorted_hitting_partners(9)
+    assert hits >= 50
+    m = _replay_exact(ops)
+    assert m.s_count < len(m) // 4
+
+
+def test_exact_dtm_when_every_element_is_matched():
+    arr = [2, 1, 4, 3, 6, 5]
+    ops = [ins(i + 1, v) for i, v in enumerate(arr)]
+    ops += [dele(2), ins(2, 0), dele(6), dele(1)]
+    m = _replay_exact(ops[:len(arr)])
+    assert len(m.tn) == 0 and m.s_count == 3
+    _replay_exact(ops)
+
+
+@pytest.mark.parametrize("n", [1000, 16000])
+def test_exact_dtm_position_lookups_scale_with_matching(n, monkeypatch):
+    m = InversionMatching(seed=1)
+    for i in range(n):
+        m.apply(ins(i + 1, 10 * i))
+    # eight outliers, each smaller than everything before it
+    for j in range(8):
+        m.apply(ins(100 * (j + 1), -1 - j))
+    assert m.s_count == 8
+    calls = 0
+    position_of = IndexedSeq.position_of
+
+    def counting(self, handle):
+        nonlocal calls
+        calls += 1
+        return position_of(self, handle)
+
+    monkeypatch.setattr(IndexedSeq, "position_of", counting)
+    assert m.exact_dtm() == 8
+    assert calls <= 2 * m.s_count + 2, calls
 
 
 def test_exact_from_cover_examples():

@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from dynseq.indexed_sequence import (DeadHandleError, DuplicateValueError,
                                      IndexedSeq, Operation, PositionError,
-                                     dele, ins)
+                                     Seq, dele, ins)
 from dynseq.work import WorkMeter
 
 
@@ -69,6 +70,25 @@ def test_dead_handle():
     s.delete(2)
     with pytest.raises(DeadHandleError):
         s.position_of(h)
+
+
+def test_pop_returns_the_handle_and_checks_once():
+    s = IndexedSeq([1, 2, 3])
+    h = s.handle_at(2)
+    assert s._pop(dele(2)) is h
+    assert s.materialize() == [1, 3] and 2 not in s
+    with pytest.raises(PositionError, match=r"delete position 3 outside \[1, 2\]"):
+        s._pop(dele(3))
+    assert s.materialize() == [1, 3]
+
+
+def test_rank_first_value_gt_matches_bisect():
+    rng = random.Random(14)
+    for n in (0, 1, 2, 7, 200):
+        vals = sorted(rng.sample(range(0, 10 * n + 10, 2), n))
+        seq = Seq(items=vals)
+        for v in range(-1, 10 * n + 12):
+            assert seq.rank_first_value_gt(v) == bisect_right(vals, v) + 1
 
 
 def test_replay_equivalence_random_stream():

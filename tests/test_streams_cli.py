@@ -195,8 +195,9 @@ def test_bench_reproducible():
 
 def test_bench_matches_committed_output():
     # written by the per-command replay loops that the shared driver
-    # replaced; one edit since: the engine=dtm kind=reverse ratio_max,
-    # lowered by capping the DTM estimate at n
+    # replaced; two edits since: the engine=dtm kind=reverse ratio_max,
+    # lowered by capping the DTM estimate at n, and the work_p50/p95/max
+    # of the four engine=dtm lines, lowered by the O(k log n) exact_dtm
     golden = Path(__file__).parent / "data" / "bench_sizes200_seed7.txt"
     rc, out = run_cli("bench", "--engines", "naive,sqrt,hier,dtm,lisplus",
                       "--sizes", "200", "--seed", "7")
