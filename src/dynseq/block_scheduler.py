@@ -9,6 +9,12 @@ the next tenth; operations arriving meanwhile are buffered and replayed to
 the successor at two per step, so the successor is caught up exactly when
 the active block's capacity runs out.
 
+A block may instead continue into the next generation itself: when the
+active block reports (``continuation``) that its live state already is what
+a successor over the snapshot would preprocess, the scheduler skips the
+build, the preprocessing and the replay, and the continuation takes over at
+handover with no second instance alive.
+
 Queries are always answered by the active, fully preprocessed block, so any
 approximation guarantee of the block algorithm carries over unchanged.
 """
@@ -54,6 +60,14 @@ class BlockAlgorithm:
 
     def extract(self):
         raise NotImplementedError("this block algorithm has no witness")
+
+    def continuation(self, snap) -> Optional["BlockAlgorithm"]:
+        """The next generation over ``snap``, taken just now, when it can run
+        on this block's live state: every operation the active block applies
+        from here on reaches it too, so it needs no preprocessing and no
+        replay.  None (the default) has the successor built from the
+        snapshot."""
+        return None
 
 
 class GeneratorBlock(BlockAlgorithm):
@@ -205,6 +219,8 @@ class WrappedEstimator:
 
     ``factory(snapshot, mirror_cls)`` must return a fresh BlockAlgorithm for
     the given frozen snapshot.  At most two instances are ever alive.
+    ``generations_rebuilt`` and ``generations_continued`` count the
+    handovers to a successor built by the factory and to a continuation.
     """
 
     def __init__(self, factory: Callable[[Any], BlockAlgorithm], mirror) -> None:
@@ -216,9 +232,12 @@ class WrappedEstimator:
         self._active: Optional[BlockAlgorithm] = None
         self._active_used = 0
         self._warming: Optional[BlockAlgorithm] = None
+        self._continuing = False   # _warming shares the active block's state
         self._warm_quantum = 0
         self._warm_applied = 0
         self._buffer: list[tuple[Operation, Any]] = []
+        self.generations_rebuilt = 0
+        self.generations_continued = 0
         # first generation: preprocessed on the spot, charged to the caller
         inst = self.factory(self.mirror.snapshot())
         self._alive(+1)
@@ -228,6 +247,13 @@ class WrappedEstimator:
 
     def _begin_warming(self) -> None:
         snap = self.mirror.snapshot()
+        self._warm_applied = 0
+        self._buffer = []
+        inst = self._active.continuation(snap)
+        self._continuing = inst is not None
+        if self._continuing:
+            self._warming = inst
+            return
         inst = self.factory(snap)
         self._alive(+1)
         g = self._active.capacity()
@@ -240,8 +266,6 @@ class WrappedEstimator:
             pieces = max(1, g // 20)
             self._warm_quantum = -(-inst.work_estimate() // pieces)
         self._warming = inst
-        self._warm_applied = 0
-        self._buffer = []
 
     def _alive(self, delta: int) -> None:
         self.live_instances += delta
@@ -262,16 +286,19 @@ class WrappedEstimator:
         self._active_used += 1
         g = self._active.capacity()
         if self._warming is not None:
-            self._buffer.append((op, ctx))
-            if self._warm_quantum:
-                self._warming.preprocess_step(self._warm_quantum)
-            if self._warming.preprocess_step(0):
-                drained = 0
-                while self._buffer and drained < 2:
-                    b_op, b_ctx = self._buffer.pop(0)
-                    self._warming.apply(b_op, b_ctx)
-                    self._warm_applied += 1
-                    drained += 1
+            if self._continuing:
+                self._warm_applied += 1
+            else:
+                self._buffer.append((op, ctx))
+                if self._warm_quantum:
+                    self._warming.preprocess_step(self._warm_quantum)
+                if self._warming.preprocess_step(0):
+                    drained = 0
+                    while self._buffer and drained < 2:
+                        b_op, b_ctx = self._buffer.pop(0)
+                        self._warming.apply(b_op, b_ctx)
+                        self._warm_applied += 1
+                        drained += 1
         if self._warming is None and self._active_used >= (9 * g + 9) // 10:
             self._begin_warming()
         if self._active_used >= g:
@@ -281,19 +308,24 @@ class WrappedEstimator:
     def _handover(self) -> None:
         if self._warming is None:
             self._begin_warming()
-        if not self._warming.preprocess_step(0):
-            if self._active.capacity() < SYNC_BASE_CAP:
-                while not self._warming.preprocess_step(max(64, self._warming.work_estimate())):
-                    pass
-            else:
-                raise ContractViolationError(
-                    "successor not preprocessed at handover; relativity breach?")
-        while self._buffer:
-            b_op, b_ctx = self._buffer.pop(0)
-            self._warming.apply(b_op, b_ctx)
-            self._warm_applied += 1
+        if self._continuing:
+            self._continuing = False
+            self.generations_continued += 1
+        else:
+            if not self._warming.preprocess_step(0):
+                if self._active.capacity() < SYNC_BASE_CAP:
+                    while not self._warming.preprocess_step(max(64, self._warming.work_estimate())):
+                        pass
+                else:
+                    raise ContractViolationError(
+                        "successor not preprocessed at handover; relativity breach?")
+            while self._buffer:
+                b_op, b_ctx = self._buffer.pop(0)
+                self._warming.apply(b_op, b_ctx)
+                self._warm_applied += 1
+            self._alive(-1)
+            self.generations_rebuilt += 1
         self._active = self._warming
-        self._alive(-1)
         self._warming = None
         # the successor has already consumed the replayed operations
         self._active_used = self._warm_applied

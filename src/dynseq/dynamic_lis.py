@@ -456,6 +456,12 @@ class SqrtBlock(GeneratorBlock):
     local step i (each operation costs the solution at most one element);
     otherwise run the exact level structure live, whose update cost stays
     near sqrt(n) because the LIS remains small for the whole generation.
+
+    An exact generation whose live LIS at the next snapshot is still below
+    that snapshot's threshold continues on the same level structure
+    (``continuation``): it already holds the snapshot's levels, so nothing
+    is rebuilt.  Only the first generation and a change of branch build from
+    the snapshot.
     """
 
     def __init__(self, snap, epsilon: float, meter: WorkMeter, seed: int = 0) -> None:
@@ -474,8 +480,7 @@ class SqrtBlock(GeneratorBlock):
         self.r0 = 0
         self.exact: Optional[ExactDynamicLis] = None
         self.backing: Optional[IndexedSeq] = None
-        self.witness: list = []
-        self.witness_set: set = set()
+        self.witness: dict = {}   # handles in witness order, O(1) removal
 
     def capacity(self) -> int:
         return self._cap
@@ -507,13 +512,23 @@ class SqrtBlock(GeneratorBlock):
                 handles.append(node)
                 if len(handles) % 64 == 0:
                     yield
-            self.witness = [handles[i] for i in idxs]
-            self.witness_set = set(map(id, self.witness))
+            self.witness = dict.fromkeys(handles[i] for i in idxs)
         else:
             self.branch = "exact"
             self.exact = ExactDynamicLis(meter=self.meter, seed=self.seed)
             for _ in self.exact.seed_steps(values):
                 yield
+
+    def continuation(self, snap) -> Optional["SqrtBlock"]:
+        if self.branch != "exact":
+            return None
+        nxt = SqrtBlock(snap, self.epsilon, self.meter, seed=self.seed)
+        if self.exact.lis() >= nxt.tau:
+            return None
+        nxt.branch = "exact"
+        nxt.exact = self.exact
+        nxt._done = True
+        return nxt
 
     def apply(self, op: Operation, ctx) -> None:
         self.i += 1
@@ -521,11 +536,7 @@ class SqrtBlock(GeneratorBlock):
             if op.kind == INSERT:
                 self.backing.insert(op.position, op.value)
             else:
-                h = self.backing.handle_at(op.position)
-                if id(h) in self.witness_set:
-                    self.witness_set.discard(id(h))
-                    self.witness.remove(h)
-                self.backing.delete(op.position)
+                self.witness.pop(self.backing._pop(op), None)
         else:
             if op.kind == INSERT:
                 self.exact.insert(op.position, op.value)
@@ -576,6 +587,16 @@ class SqrtLis(_PositionalBase):
     @property
     def max_live_instances(self) -> int:
         return self._wrapped.max_live_instances
+
+    @property
+    def generations_rebuilt(self) -> int:
+        """Generations after the first that were built from a snapshot."""
+        return self._wrapped.generations_rebuilt
+
+    @property
+    def generations_continued(self) -> int:
+        """Generations that continued on the previous one's live levels."""
+        return self._wrapped.generations_continued
 
 
 class GridLis(_PositionalBase):

@@ -304,6 +304,37 @@ class Seq:
     def node_at(self, pos: int) -> Node:
         return _select(self.root, pos, self.meter)
 
+    def node_range(self, a: int, b: int) -> list[Node]:
+        """Nodes of ranks a..b (1-based, inclusive, 1 <= a <= b <= len) in
+        order: one descent, then an in-order walk; O(log n + b - a)."""
+        stack: list[Node] = []
+        t = self.root
+        k = a
+        ticks = 0
+        while True:
+            ticks += 1
+            lsize = t.left.size if t.left is not None else 0
+            if k <= lsize:
+                stack.append(t)
+                t = t.left
+            elif k == lsize + 1:
+                stack.append(t)
+                break
+            else:
+                k -= lsize + 1
+                t = t.right
+        out: list[Node] = []
+        for _ in range(b - a + 1):
+            node = stack.pop()
+            out.append(node)
+            cur = node.right
+            while cur is not None:
+                ticks += 1
+                stack.append(cur)
+                cur = cur.left
+        self.meter.ticks += ticks + len(out)
+        return out
+
     def rank_of(self, node: Node) -> int:
         """1-based position of a live node; O(depth) via parent pointers."""
         if node.size == 0:
@@ -442,9 +473,6 @@ class IndexedSeq:
 
     def position_of(self, handle) -> int:
         return self._seq.rank_of(handle)
-
-    def rank_first(self, pred) -> int:
-        return self._seq.rank_first(pred)
 
     def materialize(self) -> list[int]:
         return list(self._seq)

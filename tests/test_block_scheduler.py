@@ -7,7 +7,8 @@ from dynseq.block_scheduler import (ContractViolationError, GeneratorBlock,
                                     PersistentMirror, wrap)
 from dynseq.classic import lis_length
 from dynseq.dynamic_lis import sqrt_engine
-from dynseq.indexed_sequence import INSERT, dele, ins
+from dynseq.exact_lis import ExactDynamicLis
+from dynseq.indexed_sequence import INSERT, IndexedSeq, dele, ins
 from dynseq.work import WorkMeter
 from oracles import fresh_values
 
@@ -63,42 +64,49 @@ def test_capacity_one_degenerates_to_recompute():
     assert est.max_live_instances <= 2
 
 
-def test_never_more_than_two_instances():
-    meter = WorkMeter()
-    eng = sqrt_engine(0.5, meter=meter, seed=2)
-    rng = random.Random(2)
+def mixed_stream(seed, steps, delete_prob):
+    """Inserts of fresh values and deletes, both at uniform positions."""
+    rng = random.Random(seed)
     used = set()
     n = 0
-    for _ in range(3000):
-        if n and rng.random() < 0.3:
-            eng.apply(dele(rng.randint(1, n)))
+    for _ in range(steps):
+        if n and rng.random() < delete_prob:
+            yield dele(rng.randint(1, n))
             n -= 1
         else:
             (v,) = fresh_values(rng, used)
-            eng.apply(ins(rng.randint(1, n + 1), v))
+            yield ins(rng.randint(1, n + 1), v)
             n += 1
+
+
+def test_never_more_than_two_instances():
+    # uniform: the LIS stays below the threshold, so exact generations
+    # continue on one level structure and rarely overlap
+    eng = sqrt_engine(0.5, seed=2)
+    for op in mixed_stream(2, 3000, 0.3):
+        eng.apply(op)
+    assert eng.max_live_instances <= 2
+    assert eng.generations_continued > 0
+    # sorted: every frozen generation is built from its snapshot while the
+    # active one still serves
+    eng = sqrt_engine(0.5, seed=2)
+    for i in range(3000):
+        eng.apply(ins(i + 1, i))
     assert eng.max_live_instances == 2  # generations really did overlap
 
 
-def test_per_step_work_budget():
+@pytest.mark.parametrize("seed", range(3, 9))
+def test_per_step_work_budget(seed):
     # instrumented per-step units stay within a fitted multiple of
     # max(h, 20 f/g + 2h); for the sqrt engine that envelope is
     # sqrt(n) log^2 n up to a constant
     meter = WorkMeter()
-    eng = sqrt_engine(0.5, meter=meter, seed=3)
-    rng = random.Random(3)
-    used = set()
-    n = 0
+    eng = sqrt_engine(0.5, meter=meter, seed=seed)
     ratios = []
-    for step in range(4000):
+    for op in mixed_stream(seed, 4000, 0.25):
         before = meter.ticks
-        if n and rng.random() < 0.25:
-            eng.apply(dele(rng.randint(1, n)))
-            n -= 1
-        else:
-            (v,) = fresh_values(rng, used)
-            eng.apply(ins(rng.randint(1, n + 1), v))
-            n += 1
+        eng.apply(op)
+        n = len(eng)
         units = meter.ticks - before
         envelope = math.sqrt(n + 2) * math.log2(n + 4) ** 2
         ratios.append(units / envelope)
@@ -106,6 +114,40 @@ def test_per_step_work_budget():
     # fit on the typical mass; the max must stay within a small factor of it
     p95 = ratios[int(0.95 * (len(ratios) - 1))]
     assert ratios[-1] <= max(6.0, 8.0 * p95), (ratios[-1], p95)
+
+
+def test_insert_looks_up_each_position_at_most_once(monkeypatch):
+    # positions do not change while one insert cascades through the levels
+    seen = None
+    repeats = []
+    lookups = 0
+    position_of = IndexedSeq.position_of
+    insert = ExactDynamicLis.insert
+
+    def counting_position_of(self, handle):
+        nonlocal lookups
+        if seen is not None:
+            lookups += 1
+            if handle in seen:
+                repeats.append(handle.value)
+            seen.add(handle)
+        return position_of(self, handle)
+
+    def tracked_insert(self, pos, value):
+        nonlocal seen
+        seen = set()
+        try:
+            insert(self, pos, value)
+        finally:
+            seen = None
+
+    monkeypatch.setattr(IndexedSeq, "position_of", counting_position_of)
+    monkeypatch.setattr(ExactDynamicLis, "insert", tracked_insert)
+    eng = sqrt_engine(0.5, seed=3)
+    for op in mixed_stream(3, 4000, 0.25):
+        eng.apply(op)
+    assert lookups > 0
+    assert not repeats, (len(repeats), lookups)
 
 
 def test_mirror_snapshots_are_frozen():

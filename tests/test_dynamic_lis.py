@@ -124,6 +124,54 @@ def test_sqrt_frozen_branch_on_increasing_stream():
     assert "frozen" in branches and "exact" in branches
 
 
+def test_sqrt_continues_exact_generations_across_branch_flips():
+    # sorted appends (exact, then frozen), uniform deletes and inserts
+    # until the LIS is below the threshold and an exact generation has
+    # continued into the next, then sorted appends once more (frozen)
+    eps = 0.5
+    eng = sqrt_engine(eps, seed=5)
+    rng = random.Random(5)
+    arr = []
+    used = set()
+    phases = []
+
+    def step(op):
+        eng.apply(op)
+        if op.kind == INSERT:
+            arr.insert(op.position - 1, op.value)
+        else:
+            arr.pop(op.position - 1)
+        est = eng.query()
+        true = fenwick_lis(arr)
+        assert est <= true <= (1 + eps) * est + 1e-9
+        witness_ok(eng, arr)
+        branch = eng._wrapped.active.branch
+        if not phases or phases[-1] != branch:
+            phases.append(branch)
+
+    def append_sorted(count):
+        for _ in range(count):
+            v = (max(arr) if arr else 0) + rng.randint(1, 9)
+            used.add(v)
+            step(ins(len(arr) + 1, v))
+
+    append_sorted(300)
+    continued = eng.generations_continued
+    mixed = 0
+    while eng.generations_continued == continued:
+        if rng.random() < 0.5:
+            step(dele(rng.randint(1, len(arr))))
+        else:
+            (v,) = fresh_values(rng, used)
+            step(ins(rng.randint(1, len(arr) + 1), v))
+        mixed += 1
+        assert mixed < 5000
+    append_sorted(300)
+    assert phases[-4:] == ["exact", "frozen", "exact", "frozen"]
+    assert eng.generations_rebuilt > 0
+    assert eng.generations_continued > 0
+
+
 def test_grid_engine_tracks_oracle_within_factor():
     for m in (4, 8):
         eng = grid_engine(0.5, level=1, seed=m, cutoff=24, m_override=m)
