@@ -39,7 +39,9 @@ class BlockAlgorithm:
     Lifecycle: construct with a snapshot, drive ``preprocess_step`` until it
     reports completion, then serve up to ``capacity()`` operations.
     ``work_estimate()`` declares the preprocessing size used to compute the
-    per-step quantum.
+    per-step quantum, in the units ``preprocess_step`` spends (yields, for
+    a ``GeneratorBlock``); a successor whose estimate falls short is not
+    ready at handover.
     """
 
     def capacity(self) -> int:

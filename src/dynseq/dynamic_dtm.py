@@ -82,16 +82,15 @@ class InversionMatching:
     def _place(self, h) -> None:
         """Match h against the unmatched set or add it there."""
         v = h.value
-        p = self.backing.position_of(h)
         i = self.tn.rank_first_value_gt(v)
         mate_rank = 0
         if i > 1:
             pred = self.tn.node_at(i - 1)
-            if self.backing.position_of(pred.extra) > p:
+            if pred.extra.label > h.label:
                 mate_rank = i - 1
         if mate_rank == 0 and i <= len(self.tn):
             succ = self.tn.node_at(i)
-            if self.backing.position_of(succ.extra) < p:
+            if succ.extra.label < h.label:
                 mate_rank = i
         if mate_rank:
             mate_node = self.tn.node_at(mate_rank)

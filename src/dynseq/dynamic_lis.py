@@ -457,6 +457,12 @@ class SqrtBlock(GeneratorBlock):
     otherwise run the exact level structure live, whose update cost stays
     near sqrt(n) because the LIS remains small for the whole generation.
 
+    Preprocessing makes one patience pass over the snapshot with a
+    back-pointer per element, yielding every 64 elements; the pass gives
+    both r and, on the frozen branch, the witness (walked back from the last
+    pile).  ``work_estimate`` counts those yields and the ones of the branch
+    build after the pass.
+
     An exact generation whose live LIS at the next snapshot is still below
     that snapshot's threshold continues on the same level structure
     (``continuation``): it already holds the snapshot's levels, so nothing
@@ -486,36 +492,52 @@ class SqrtBlock(GeneratorBlock):
         return self._cap
 
     def work_estimate(self) -> int:
-        return max(64, 5 * self.n0)
+        # the pass and either branch's handle walk yield n0 // 64 times
+        # each; the frozen branch's witness walk at most n0 // 64 times, the
+        # exact branch's patience n0 // 64 times and its levels r < tau
+        return 3 * (self.n0 // 64) + self.tau + 1
 
     def preprocess_gen(self):
-        values = []
+        meter = self.meter
+        values: list = []
+        tails: list = []   # top value of each patience pile
+        tops: list = []    # its index
+        back: list = []    # per element: the top index of the previous pile
         for v in PersistentMirror.iter_snapshot(self.snap):
+            i = bisect_left(tails, v)
+            meter.ticks += 1 + max(1, len(tails).bit_length())
+            back.append(tops[i - 1] if i else -1)
+            if i == len(tails):
+                tails.append(v)
+                tops.append(len(values))
+            else:
+                tails[i] = v
+                tops[i] = len(values)
             values.append(v)
-            self.meter.ticks += 1
             if len(values) % 64 == 0:
                 yield
-        n = len(values)
-        r = lis_length(values)
-        self.meter.ticks += n * max(1, n.bit_length())
-        for _ in range(0, n, 64):
-            yield
+        r = len(tails)
         self.r0 = r
         if r >= self.tau:
             self.branch = "frozen"
-            idxs = lis_extract(values)
-            self.meter.ticks += n * max(1, n.bit_length())
-            yield
-            self.backing = IndexedSeq(values, meter=self.meter, seed=self.seed)
+            idxs = []
+            j = tops[-1] if tops else -1
+            while j >= 0:
+                idxs.append(j)
+                j = back[j]
+                meter.ticks += 1
+                if len(idxs) % 64 == 0:
+                    yield
+            self.backing = IndexedSeq(values, meter=meter, seed=self.seed)
             handles = []
             for node in self.backing._seq.nodes():
                 handles.append(node)
                 if len(handles) % 64 == 0:
                     yield
-            self.witness = dict.fromkeys(handles[i] for i in idxs)
+            self.witness = dict.fromkeys(handles[i] for i in reversed(idxs))
         else:
             self.branch = "exact"
-            self.exact = ExactDynamicLis(meter=self.meter, seed=self.seed)
+            self.exact = ExactDynamicLis(meter=meter, seed=self.seed)
             for _ in self.exact.seed_steps(values):
                 yield
 

@@ -8,10 +8,10 @@ An insertion places the new element at its level and then, per level above,
 promotes one contiguous (by value) interval of elements to the next level;
 a deletion mirrors this with one demoted interval per level.  Intervals are
 moved between level trees by split/join, so the cost per affected level is
-a bounded number of tree searches, each needing position lookups in the
-backing sequence.  Positions do not change while one update moves elements
-between levels, so each update looks up an element's position at most once
-per phase (``_positions``).
+a bounded number of tree searches.  The searches order elements by the
+backing sequence's order labels, one comparison each, so an update looks
+up no positions; only ``extract`` and ``levels_snapshot`` turn handles into
+positions, for their output.
 
 The demotion procedure is derived symmetrically from the promotion rule
 (an element falls exactly when no surviving element one level down is
@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
-from .indexed_sequence import IndexedSeq, Seq
+from .indexed_sequence import DELETE, IndexedSeq, Operation, Seq
 from .work import WorkMeter
 
 
@@ -86,51 +86,30 @@ class ExactDynamicLis:
     def __len__(self) -> int:
         return len(self.backing)
 
-    def _positions(self) -> Callable:
-        """Position of a level node's element, each looked up in the backing
-        sequence at most once; valid until the backing sequence changes.
-        Every call is charged one tick, hits included."""
-        known: dict = {}
-        position_of = self.backing.position_of
-        meter = self.meter
-
-        def pos(node) -> int:
-            meter.ticks += 1
-            h = node.extra
-            p = known.get(h)
-            if p is None:
-                p = known[h] = position_of(h)
-            return p
-
-        return pos
-
     def extract(self) -> list[tuple[int, int]]:
         """One LIS witness as (position, value) pairs, increasing in both."""
         if not self.levels:
             return []
-        pos = self._positions()
-        out = []
         node = self.levels[-1].node_at(1)
-        out.append((pos(node), node.value))
+        chain = [node]
         for k in range(len(self.levels) - 1, 0, -1):
             lvl = self.levels[k - 1]
-            p = out[-1][0]
-            r = lvl.rank_first(lambda n: pos(n) >= p) - 1
-            node = lvl.node_at(r)
-            out.append((pos(node), node.value))
-        out.reverse()
-        return out
+            node = lvl.node_at(lvl.rank_after(node.extra.label) - 1)
+            chain.append(node)
+        chain.reverse()
+        position_of = self.backing.position_of
+        return [(position_of(n.extra), n.value) for n in chain]
 
     def levels_snapshot(self) -> list[list[tuple[int, int]]]:
-        pos = self._positions()
-        return [[(pos(n), n.value) for n in lvl.nodes()] for lvl in self.levels]
+        position_of = self.backing.position_of
+        return [[(position_of(n.extra), n.value) for n in lvl.nodes()]
+                for lvl in self.levels]
 
     # -- updates -------------------------------------------------------------
 
     def insert(self, pos: int, value) -> None:
         h = self.backing.insert(pos, value)
-        position = self._positions()
-        lev = self._level_for(pos, value, position)
+        lev = self._level_for(h.label, value)
         carry = self._new_seq()
         carry.insert(1, value, extra=h)
         k = lev
@@ -139,7 +118,7 @@ class ExactDynamicLis:
                 self.levels.append(carry)
                 break
             lvl = self.levels[k - 1]
-            span = self._promoted_interval(lvl, carry, position)
+            span = self._promoted_interval(lvl, carry)
             out = lvl.detach_range(*span) if span is not None else None
             self._merge_by_value(lvl, carry)
             if out is None or out.root is None:
@@ -148,20 +127,20 @@ class ExactDynamicLis:
             k += 1
 
     def delete(self, pos: int) -> None:
-        h = self.backing.handle_at(pos)
+        # the removed handle keeps its label, which still orders it against
+        # every live element
+        h = self.backing._pop(Operation(DELETE, pos))
         value = h.value
-        lev = self._level_for(pos, value, self._positions())
+        lev = self._level_for(h.label, value)
         lvl = self.levels[lev - 1]
         r = lvl.rank_first_value_lt(value) - 1
         gone = lvl.detach_range(r, r)
         assert gone.node_at(1).extra is h
-        self.backing.delete(pos)
-        position = self._positions()
         support = lvl
         start_rank = r
         for k in range(lev + 1, len(self.levels) + 1):
             cur = self.levels[k - 1]
-            span = self._dropped_interval(cur, support, start_rank, position)
+            span = self._dropped_interval(cur, support, start_rank)
             if span is None:
                 break
             a, b = span
@@ -174,16 +153,17 @@ class ExactDynamicLis:
 
     # -- internals -------------------------------------------------------------
 
-    def _level_for(self, p: int, value, pos: Callable) -> int:
-        """1 + the largest k such that level k holds an element before p
-        with a smaller value (the candidate-level predicate is monotone)."""
+    def _level_for(self, label: int, value) -> int:
+        """1 + the largest k such that level k holds an element before the
+        one labelled ``label`` with a smaller value (the candidate-level
+        predicate is monotone)."""
 
         def test(k: int) -> bool:
             lvl = self.levels[k - 1]
             i = lvl.rank_first_value_lt(value)
             if i > len(lvl):
                 return False
-            return pos(lvl.node_at(i)) < p
+            return lvl.node_at(i).extra.label < label
 
         lo, hi = 0, len(self.levels)
         while lo < hi:
@@ -194,8 +174,8 @@ class ExactDynamicLis:
                 hi = mid - 1
         return lo + 1
 
-    def _promoted_interval(self, lvl: Seq, carry: Seq,
-                           pos: Callable) -> Optional[tuple[int, int]]:
+    def _promoted_interval(self, lvl: Seq,
+                           carry: Seq) -> Optional[tuple[int, int]]:
         """Ranks of lvl's elements that move up one level when the elements
         of `carry` arrive at this level.
 
@@ -206,12 +186,11 @@ class ExactDynamicLis:
         a short walk over the carry's gaps.  The affected set is one
         contiguous interval.
 
-        Cost, for t = len(lvl) and u = len(carry): O(log t) position probes
-        to find the window of lvl interleaved with the carry; when that
-        window [w_lo, end1] is not empty, one read of it and of the carry
-        (positions and values, O(w + u) nodes), then two or three bisections
-        over those lists per carry gap the walk visits.  Every position comes
-        from ``pos``, so no element is looked up twice in one insert.
+        Cost, for t = len(lvl) and u = len(carry): O(log t) label
+        descents to find the window of lvl interleaved with the carry; when
+        that window [w_lo, end1] is not empty, one read of it and of the
+        carry (labels and values, O(w + u) nodes), then two or three
+        bisections over those lists per carry gap the walk visits.
         """
         t = len(lvl)
         u = len(carry)
@@ -221,15 +200,13 @@ class ExactDynamicLis:
         r_limit = lvl.rank_first_value_lt(vmin) - 1
         if r_limit < 1:
             return None
-        pos_first = pos(carry.node_at(1))
-        w_lo = lvl.rank_first(lambda n: pos(n) > pos_first)
+        w_lo = lvl.rank_after(carry.node_at(1).extra.label)
         if w_lo > r_limit:
             return None
         if u == 1:
             s2 = w_lo
         else:
-            pos_last = pos(carry.node_at(u))
-            s2 = lvl.rank_first(lambda n: pos(n) > pos_last)
+            s2 = lvl.rank_after(carry.node_at(u).extra.label)
         a = b = None
         # interleaved region: positions strictly inside the carry's span.
         # The window elements between carry elements iw and iw + 1 share
@@ -238,19 +215,19 @@ class ExactDynamicLis:
         end1 = min(s2 - 1, r_limit)
         if w_lo <= end1:
             window = lvl.node_range(w_lo, end1)
-            wpos = [pos(n) for n in window]
+            wlab = [n.extra.label for n in window]
             wneg = [-n.value for n in window]   # ascending
             cnodes = carry.node_range(1, u)
-            cpos = [pos(n) for n in cnodes]
+            clab = [n.extra.label for n in cnodes]
             cval = [n.value for n in cnodes]
             w = len(window)
             probe = u.bit_length() + 2 * w.bit_length()
             j = 0
             while j < w:
                 self.meter.ticks += probe
-                iw = bisect_left(cpos, wpos[j]) - 1
+                iw = bisect_left(clab, wlab[j]) - 1
                 v = cval[iw]
-                j_next = bisect_right(wpos, cpos[iw + 1])
+                j_next = bisect_right(wlab, clab[iw + 1])
                 if -wneg[j] > v:
                     run_end = min(j_next, bisect_left(wneg, -v)) - 1
                     if a is None:
@@ -275,8 +252,8 @@ class ExactDynamicLis:
             return None
         return a, b
 
-    def _dropped_interval(self, lvl: Seq, support: Seq, start_rank: int,
-                          pos: Callable) -> Optional[tuple[int, int]]:
+    def _dropped_interval(self, lvl: Seq, support: Seq,
+                          start_rank: int) -> Optional[tuple[int, int]]:
         """Ranks of lvl's elements that fall one level after a deletion.
 
         An interval just left the level below from start_rank, so its
@@ -294,14 +271,12 @@ class ExactDynamicLis:
             return 1, t
         if start_rank >= 2:
             prev = support.node_at(start_rank - 1)
-            pos_prev = pos(prev)
-            w_lo = lvl.rank_first(lambda n: pos(n) > pos_prev)
+            w_lo = lvl.rank_after(prev.extra.label)
             a = max(w_lo, lvl.rank_first_value_lt(prev.value))
         else:
             a = 1
         if start_rank <= s:
-            pos_next = pos(support.node_at(start_rank))
-            w_hi = lvl.rank_first(lambda n: pos(n) > pos_next) - 1
+            w_hi = lvl.rank_after(support.node_at(start_rank).extra.label) - 1
         else:
             w_hi = t
         if a > w_hi:

@@ -5,18 +5,35 @@ The substrate of every dynamic structure here: a randomized balanced tree
 the position of an element can be recovered after arbitrary interleaved
 insertions and deletions.  Split and join are first-class because the exact
 dynamic-LIS level structure moves whole intervals between trees.
+
+The handles of an ``IndexedSeq`` also carry integer order labels that
+strictly increase along the sequence, so two live handles are ordered by
+one comparison, where a position lookup walks to the root.  An interior
+insert takes the midpoint of its neighbours' labels and an append or
+prepend steps ``LABEL_SPACING`` past the end label.  When a gap is used up,
+the smallest aligned label range around it that is sparse enough is spread
+out evenly (Bender, Cole, Demaine, Farach-Colton & Zito, "Two simplified
+algorithms for maintaining order in a list", ESA 2002): O(log n) relabelled
+nodes per insert, amortized.  Every node walked or relabelled is charged.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 from .work import WorkMeter, default_meter
 
 INSERT = "I"
 DELETE = "D"
+
+# Label gap left by an append or prepend.  Midpoints halve a gap, so only
+# about 62 inserts nested in one gap can use it up and force a relabel.
+LABEL_SPACING = 1 << 62
+# A relabelled range of 2**i labels holds at most RELABEL_GROWTH**i nodes:
+# Bender et al.'s density threshold T**-i with T = 3/2.
+RELABEL_GROWTH = 4 / 3
 
 
 class PositionError(IndexError):
@@ -68,11 +85,18 @@ def dele(position: int) -> Operation:
 
 
 class Node:
-    """Treap node; also the stable handle returned to callers."""
+    """Treap node; also the stable handle returned to callers.
 
-    __slots__ = ("value", "extra", "prio", "size", "left", "right", "parent")
+    ``label`` is the order label of an ``IndexedSeq`` handle and unused in
+    other trees.  It is a slot of every node, not of a subclass, because
+    the tree code serves every tree, and CPython's attribute-read
+    specialization slows that code down when it sees two node types."""
 
-    def __init__(self, value: Any, prio: float, extra: Any = None) -> None:
+    __slots__ = ("value", "extra", "prio", "size", "left", "right", "parent",
+                 "label")
+
+    def __init__(self, value: Any, prio: float, extra: Any = None,
+                 label: int = 0) -> None:
         self.value = value
         self.extra = extra
         self.prio = prio
@@ -80,6 +104,7 @@ class Node:
         self.left: Optional[Node] = None
         self.right: Optional[Node] = None
         self.parent: Optional[Node] = None
+        self.label = label
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Node({self.value!r}, size={self.size})"
@@ -150,6 +175,65 @@ def _select(t: Node, k: int, meter: WorkMeter) -> Node:
         else:
             k -= lsize + 1
             t = t.right
+
+
+def _rotate_up(x: Node) -> None:
+    """Rotate x above its parent, keeping the in-order sequence."""
+    p = x.parent
+    g = p.parent
+    if p.left is x:
+        b = x.right
+        p.left = b
+        x.right = p
+    else:
+        b = x.left
+        p.right = b
+        x.left = p
+    if b is not None:
+        b.parent = p
+    p.parent = x
+    x.parent = g
+    if g is not None:
+        if g.left is p:
+            g.left = x
+        else:
+            g.right = x
+    _update(p)
+    _update(x)
+
+
+def _next(x: Node, meter: WorkMeter) -> Optional[Node]:
+    """In-order successor of x, or None; one tick per pointer followed."""
+    if x.right is not None:
+        x = x.right
+        meter.ticks += 1
+        while x.left is not None:
+            x = x.left
+            meter.ticks += 1
+        return x
+    while x.parent is not None:
+        meter.ticks += 1
+        if x.parent.left is x:
+            return x.parent
+        x = x.parent
+    return None
+
+
+def _prev(x: Node, meter: WorkMeter) -> Optional[Node]:
+    """In-order predecessor of x, or None; one tick per pointer followed."""
+    if x.left is not None:
+        x = x.left
+        meter.ticks += 1
+        while x.right is not None:
+            x = x.right
+            meter.ticks += 1
+        return x
+    while x.parent is not None:
+        meter.ticks += 1
+        if x.parent.right is x:
+            return x.parent
+        x = x.parent
+    return None
 
 
 def _iter_nodes(t: Optional[Node]) -> Iterator[Node]:
@@ -277,18 +361,54 @@ class Seq:
     def insert(self, pos: int, value: Any, extra: Any = None) -> Node:
         """Insert before position pos (1-based, pos in [1, len+1])."""
         node = Node(value, self.rng.random(), extra)
-        a, b = _split(self.root, pos - 1, self.meter)
-        self.root = _join(_join(a, node, self.meter), b, self.meter)
-        self.root.parent = None
+        self._attach(pos, node)
         return node
 
     def insert_node(self, pos: int, node: Node) -> Node:
         node.left = node.right = node.parent = None
         node.size = 1
-        a, b = _split(self.root, pos - 1, self.meter)
-        self.root = _join(_join(a, node, self.meter), b, self.meter)
-        self.root.parent = None
+        self._attach(pos, node)
         return node
+
+    def _attach(self, pos: int,
+                node: Node) -> tuple[Optional[Node], Optional[Node]]:
+        """Link a detached node in before position pos; returns its
+        neighbours (None past either end).
+
+        One descent to the gap finds both neighbours and adds one to the
+        size of every node it passes; the node hangs there as a leaf and
+        rotates up to its priority's place, which gives the same treap as a
+        split and two joins."""
+        pred = succ = parent = None
+        t = self.root
+        k = pos - 1
+        ticks = 0
+        while t is not None:
+            ticks += 1
+            t.size += 1
+            parent = t
+            lsize = t.left.size if t.left is not None else 0
+            if k <= lsize:
+                succ = t
+                t = t.left
+            else:
+                pred = t
+                k -= lsize + 1
+                t = t.right
+        node.parent = parent
+        if parent is None:
+            self.root = node
+        elif parent is succ:
+            parent.left = node
+        else:
+            parent.right = node
+        while node.parent is not None and node.parent.prio < node.prio:
+            ticks += 1
+            _rotate_up(node)
+        if node.parent is None:
+            self.root = node
+        self.meter.ticks += ticks
+        return pred, succ
 
     def delete_at(self, pos: int) -> Node:
         a, rest = _split(self.root, pos - 1, self.meter)
@@ -351,21 +471,23 @@ class Seq:
             raise DeadHandleError("handle does not belong to this sequence")
         return r
 
-    def rank_first(self, pred: Callable[[Node], bool]) -> int:
-        """Smallest 1-based rank whose node satisfies pred, assuming pred is
-        monotone (all-False prefix, all-True suffix) along the sequence.
-        Returns len+1 when no node satisfies it."""
+    def rank_after(self, label: int) -> int:
+        """First rank whose node's handle (``extra``) has an order label
+        above ``label``, or len+1; assumes the handles are in sequence order
+        (the level-tree order)."""
         t = self.root
         res = (t.size + 1) if t is not None else 1
         acc = 0
+        ticks = 0
         while t is not None:
-            self.meter.ticks += 1
-            if pred(t):
+            ticks += 1
+            if t.extra.label > label:
                 res = acc + (t.left.size if t.left is not None else 0) + 1
                 t = t.left
             else:
                 acc += (t.left.size if t.left is not None else 0) + 1
                 t = t.right
+        self.meter.ticks += ticks
         return res
 
     def split(self, k: int) -> "Seq":
@@ -407,15 +529,21 @@ class IndexedSeq:
     handles, and logarithmic updates.
 
     Positions are 1-based.  Values must be pairwise distinct; duplicates are
-    rejected at ingestion rather than tie-broken silently.
+    rejected at ingestion rather than tie-broken silently.  Handles carry
+    order labels (module docstring); ``relabelled`` counts the nodes that
+    inserts have given a new label so far.
     """
 
     def __init__(self, values: Iterable[int] = (),
                  meter: Optional[WorkMeter] = None,
                  seed: int = 0) -> None:
         values = list(values)
-        self._seq = Seq(meter=meter, rng=random.Random(seed ^ 0x1D5EC),
-                        items=values)
+        self._seq = Seq(meter=meter, rng=random.Random(seed ^ 0x1D5EC))
+        rnd = self._seq.rng.random
+        nodes = [Node(v, rnd(), None, i * LABEL_SPACING)
+                 for i, v in enumerate(values)]
+        self._seq.root = _build(nodes, self._seq.meter)
+        self.relabelled = 0
         self._values: set[int] = set(values)
         if len(self._values) != len(values):
             raise DuplicateValueError("seed values must be pairwise distinct")
@@ -445,7 +573,52 @@ class IndexedSeq:
         """Insert ``op``, which the caller has already passed through
         ``_check``; returns the new handle."""
         self._values.add(op.value)
-        return self._seq.insert(op.position, op.value)
+        node = Node(op.value, self._seq.rng.random())
+        pred, succ = self._seq._attach(op.position, node)
+        if pred is None:
+            node.label = 0 if succ is None else succ.label - LABEL_SPACING
+        elif succ is None:
+            node.label = pred.label + LABEL_SPACING
+        elif succ.label - pred.label > 1:
+            node.label = (pred.label + succ.label) // 2
+        else:
+            self._relabel(node, pred)
+        return node
+
+    def _relabel(self, node: Node, pred: Node) -> None:
+        """Label ``node``, just inserted after ``pred`` in a used-up gap, by
+        spreading out evenly the smallest aligned range of 2**i labels
+        around ``pred``'s that holds at most RELABEL_GROWTH**i nodes, the new
+        one included (Bender et al.).  Charges every node walked and
+        relabelled."""
+        meter = self._seq.meter
+        lo = pred.label
+        left: list[Node] = []     # pred and the nodes before it, backwards
+        right: list[Node] = []    # the nodes after node, forwards
+        lnext: Optional[Node] = pred
+        rnext = _next(node, meter)
+        i = 0
+        while True:
+            i += 1
+            base = lo >> i << i
+            top = base + (1 << i)
+            while lnext is not None and lnext.label >= base:
+                left.append(lnext)
+                lnext = _prev(lnext, meter)
+            while rnext is not None and rnext.label < top:
+                right.append(rnext)
+                rnext = _next(rnext, meter)
+            count = len(left) + len(right) + 1
+            if count <= RELABEL_GROWTH ** i:
+                break
+        left.reverse()
+        left.append(node)
+        left.extend(right)
+        size = 1 << i
+        for j, x in enumerate(left):
+            x.label = base + (2 * j + 1) * size // (2 * count)
+        meter.ticks += count
+        self.relabelled += count - 1
 
     def _pop(self, op: Operation) -> Node:
         """Check and apply a delete, with no separate lookup of the handle;

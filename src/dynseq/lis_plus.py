@@ -130,9 +130,10 @@ class LisPlus:
         order: list = []
         a, b = left.handles, right.handles
         i = j = 0
-        pos = self.backing.position_of
+        # inserts never reorder live elements, and relabels keep the order,
+        # so order labels read at different steps agree
         while i < len(a) and j < len(b):
-            if pos(a[i]) < pos(b[j]):
+            if a[i].label < b[j].label:
                 order.append(a[i])
                 i += 1
             else:

@@ -9,6 +9,7 @@ from dynseq.classic import lis_length
 from dynseq.dynamic_lis import sqrt_engine
 from dynseq.exact_lis import ExactDynamicLis
 from dynseq.indexed_sequence import INSERT, IndexedSeq, dele, ins
+from dynseq.streams import generate_stream
 from dynseq.work import WorkMeter
 from oracles import fresh_values
 
@@ -116,38 +117,58 @@ def test_per_step_work_budget(seed):
     assert ratios[-1] <= max(6.0, 8.0 * p95), (ratios[-1], p95)
 
 
-def test_insert_looks_up_each_position_at_most_once(monkeypatch):
-    # positions do not change while one insert cascades through the levels
-    seen = None
-    repeats = []
+def test_exact_updates_look_up_no_positions(monkeypatch):
+    # the level searches compare order labels, so no update walks to a
+    # position
+    inside = False
     lookups = 0
+    ran = {"insert": 0, "delete": 0}
     position_of = IndexedSeq.position_of
-    insert = ExactDynamicLis.insert
 
     def counting_position_of(self, handle):
         nonlocal lookups
-        if seen is not None:
-            lookups += 1
-            if handle in seen:
-                repeats.append(handle.value)
-            seen.add(handle)
+        lookups += inside
         return position_of(self, handle)
 
-    def tracked_insert(self, pos, value):
-        nonlocal seen
-        seen = set()
-        try:
-            insert(self, pos, value)
-        finally:
-            seen = None
+    def tracked(name):
+        update = getattr(ExactDynamicLis, name)
+
+        def run(self, *args):
+            nonlocal inside
+            inside = True
+            ran[name] += 1
+            try:
+                update(self, *args)
+            finally:
+                inside = False
+        monkeypatch.setattr(ExactDynamicLis, name, run)
 
     monkeypatch.setattr(IndexedSeq, "position_of", counting_position_of)
-    monkeypatch.setattr(ExactDynamicLis, "insert", tracked_insert)
+    tracked("insert")
+    tracked("delete")
     eng = sqrt_engine(0.5, seed=3)
     for op in mixed_stream(3, 4000, 0.25):
         eng.apply(op)
-    assert lookups > 0
-    assert not repeats, (len(repeats), lookups)
+    assert ran["insert"] > 0 and ran["delete"] > 0   # the wrapped updates ran
+    assert lookups == 0
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_frozen_branch_preprocessing_is_paced(seed):
+    # a sorted stream keeps the LIS above the threshold, so every generation
+    # is a frozen one built from its snapshot while the active one serves;
+    # that build must be spread over the warm-up steps
+    meter = WorkMeter()
+    eng = sqrt_engine(0.5, meter=meter, seed=seed)
+    worst = 0.0
+    for op in generate_stream("sorted", 4000, seed, insert_prob=0.55):
+        before = meter.ticks
+        eng.apply(op)
+        n = len(eng)
+        envelope = math.sqrt(n + 2) * math.log2(n + 4) ** 2
+        worst = max(worst, (meter.ticks - before) / envelope)
+    assert eng.generations_rebuilt > 0
+    assert worst <= 4.5, worst
 
 
 def test_mirror_snapshots_are_frozen():

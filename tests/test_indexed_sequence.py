@@ -6,10 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynseq import indexed_sequence
 from dynseq.indexed_sequence import (DeadHandleError, DuplicateValueError,
                                      IndexedSeq, Operation, PositionError,
                                      Seq, dele, ins)
+from dynseq.streams import KINDS, generate_stream
 from dynseq.work import WorkMeter
+
+
+def labels_increase(s: IndexedSeq) -> bool:
+    labels = [h.label for h in s._seq.nodes()]
+    return all(a < b for a, b in zip(labels, labels[1:]))
 
 
 def test_empty_base_case():
@@ -174,7 +181,65 @@ def test_replay_property(moves):
             p = slot % (len(ref) + 1) + 1
             s.apply(ins(p, val))
             ref.insert(p - 1, val)
+        assert labels_increase(s)
     assert s.materialize() == ref
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_labels_follow_stream_without_relabels(kind):
+    # appends step a fixed spacing past the end and interior inserts halve a
+    # gap, so these streams never use a gap up
+    s = IndexedSeq(seed=4)
+    for step, op in enumerate(generate_stream(kind, 20_000, 4)):
+        s.apply(op)
+        if step % 500 == 0:
+            assert labels_increase(s)
+    assert labels_increase(s)
+    assert s.relabelled == 0
+
+
+@pytest.mark.parametrize("position", [1, 2])
+def test_labels_increase_under_repeated_inserts_at_one_position(position):
+    s = IndexedSeq(seed=6)
+    for i in range(2000):
+        s.insert(min(position, len(s) + 1), i)
+        assert labels_increase(s)
+    assert s.materialize()[:position - 1] == list(range(position - 1))
+
+
+def test_labels_increase_when_gaps_run_out_often(monkeypatch):
+    # a spacing of 4 uses a gap up after two nested inserts, so relabels
+    # run all the time, between deletes and inserts at random positions
+    monkeypatch.setattr(indexed_sequence, "LABEL_SPACING", 4)
+    rng = random.Random(9)
+    s = IndexedSeq(list(range(0, 40, 2)), seed=9)
+    ref = list(range(0, 40, 2))
+    for v in range(1001, 4001):
+        if ref and rng.random() < 0.3:
+            p = rng.randint(1, len(ref))
+            assert s.apply(dele(p)) == ref.pop(p - 1)
+        else:
+            p = rng.randint(1, len(ref) + 1)
+            s.apply(ins(p, v))
+            ref.insert(p - 1, v)
+        assert labels_increase(s)
+    assert s.materialize() == ref
+    assert s.relabelled > 0
+
+
+def test_relabel_cost_is_n_log_n_in_total():
+    # 20 000 inserts at position 2 use up a gap about every few inserts;
+    # the local relabels stay O(log n) nodes per insert, amortized
+    # (measured: 0.64 n log2 n relabelled nodes)
+    c = 1.0
+    meter = WorkMeter()
+    s = IndexedSeq(meter=meter, seed=8)
+    n = 20_000
+    for i in range(n):
+        s.insert(min(2, len(s) + 1), i)
+    assert labels_increase(s)
+    assert 0 < s.relabelled <= c * n * math.log2(n)
+    assert meter.ticks <= 4 * c * n * math.log2(n)
 
 
 def test_split_detach_rejoin_keeps_order():
