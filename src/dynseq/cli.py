@@ -69,7 +69,7 @@ def _read_array(path: str) -> list[int]:
 ENGINES = {
     "naive": lambda eps, meter, seed: naive_engine(meter=meter),
     "sqrt": lambda eps, meter, seed: sqrt_engine(eps, meter=meter, seed=seed),
-    "hier": lambda eps, meter, seed: hierarchy_engine(eps, meter=meter, seed=seed),
+    "hier": lambda eps, meter, seed: hierarchy_engine(eps, meter=meter),
     "dtm": lambda eps, meter, seed: DtmDynamic(eps, meter=meter, seed=seed),
     "lisplus": lambda eps, meter, seed: LisPlus(meter=meter, seed=seed),
 }
@@ -188,7 +188,7 @@ def cmd_partition(args, out) -> int:
     if args.engine == "baseline":
         part = partition_baseline(values)
     else:
-        part = partition_dynamic(values, args.epsilon, seed=args.seed)
+        part = partition_dynamic(values, args.epsilon)
     if not partition_is_valid(values, part):
         raise AuditError("partitioner produced an invalid partition")
     lines = []
@@ -374,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=_FRACTION, default=0.8)
     p.add_argument("--input", required=True)
     p.add_argument("--output", default="-")
-    add_seed(p)
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("packing", help="inspect an array packing")

@@ -12,16 +12,20 @@ Four estimators share one public surface (apply / query / extract):
   shallower, exact below a size cutoff.
 
 Internally the grid family addresses elements by immutable order keys
-rather than positions: a key is assigned once at insertion (midpoint of the
-neighbors' keys), so per-segment membership can be kept in plain sorted
-lists and an element's routing never changes while positions shift.
+rather than positions: a key is assigned once at insertion, so per-segment
+membership can be kept in plain sorted lists and an element's routing never
+changes while positions shift.  A key is a byte string read as a base-256
+number: a ``KEY_WHOLE``-byte big-endian whole part, then fraction bytes with
+no trailing zero byte, so byte order (compared in C) is numeric order.  The
+first key is 2^63, a prepend or an append steps the neighbor's whole part
+by one, and an insert between two keys takes their midpoint, one fraction
+byte longer when the two are closer than 2 units in their last byte.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
 from typing import Any, Callable, Optional
 
 from .block_scheduler import (GeneratorBlock, PersistentMirror,
@@ -32,16 +36,28 @@ from .grid_packing import GridPacking
 from .indexed_sequence import DELETE, INSERT, IndexedSeq, Operation, _check_op
 from .work import WorkMeter
 
-KEY_GAP = 1 << 96
+KEY_WHOLE = 8
+FIRST_KEY = (1 << 63).to_bytes(KEY_WHOLE, "big")
 BASE_CUTOFF = 64
 
 
-def _key_between(lo, hi):
-    """A fresh key strictly between lo and hi (ints, Fractions allowed)."""
-    if isinstance(lo, int) and isinstance(hi, int):
-        if hi - lo > 1:
-            return lo + (hi - lo) // 2
-    return (Fraction(lo) + Fraction(hi)) / 2
+def _key_step(key: bytes, step: int) -> bytes:
+    """The fraction-free key ``step`` units from key's whole part."""
+    whole = int.from_bytes(key[:KEY_WHOLE], "big") + step
+    return whole.to_bytes(KEY_WHOLE, "big")
+
+
+def _key_between(lo: bytes, hi: bytes) -> bytes:
+    """A fresh key strictly between the keys lo < hi."""
+    width = max(len(lo), len(hi))
+    a = int.from_bytes(lo, "big") << 8 * (width - len(lo))
+    b = int.from_bytes(hi, "big") << 8 * (width - len(hi))
+    if b - a < 2:
+        a <<= 8
+        b <<= 8
+        width += 1
+    mid = ((a + b) >> 1).to_bytes(width, "big")
+    return mid[:KEY_WHOLE] + mid[KEY_WHOLE:].rstrip(b"\0")
 
 
 class EngineContext:
@@ -118,6 +134,9 @@ class KeyedNaive:
     def describe(self) -> list[tuple[int, int]]:
         return []
 
+    def leaf_elements(self) -> int:
+        return len(self.keys)
+
 
 class KeyedNaiveBlock(GeneratorBlock):
     """Exact block generation used when a snapshot is below the cutoff."""
@@ -153,6 +172,9 @@ class KeyedNaiveBlock(GeneratorBlock):
 
     def describe(self) -> list[tuple[int, int]]:
         return []
+
+    def leaf_elements(self) -> int:
+        return len(self.inner)
 
 
 class KeyedListMirror:
@@ -190,6 +212,13 @@ class KeyedListMirror:
 class GridBlock(GeneratorBlock):
     """One grid-packing generation: value thresholds fix rows, key ranges fix
     columns, each committed segment owns a child estimator over its elements.
+
+    Queries are incremental.  The block keeps its children's last scores, and
+    ``apply`` records the segment-id list it routed to (one append per
+    operation).  ``query`` re-queries only the recorded children and reruns
+    ``chain_dp``, a pure function of the scores, only when one of them moved.
+    The first query, and one after more recorded lists than children, makes
+    a full pass instead.
     """
 
     def __init__(self, snap: tuple[list, list], level: int,
@@ -216,7 +245,8 @@ class GridBlock(GeneratorBlock):
         self.grid: Optional[GridPacking] = None
         self.children: list = []
         self._col_limit = 0
-        self._dirty = True
+        self._scores: Optional[list[int]] = None   # children's last answers
+        self._touched: list = []   # segment-id lists applied since the last query
         self._cached = 0
         self._chain: list[int] = []
 
@@ -309,16 +339,33 @@ class GridBlock(GeneratorBlock):
                 child.insert(key, value)
             else:
                 child.delete(key, value)
-        self._dirty = True
+        self._touched.append(sids)
 
     def query(self) -> int:
-        if self._dirty:
-            scores = [float(child.query()) for child in self.children]
-            total, chain = self.grid.chain_dp(scores)
-            self.ctx.meter.ticks += len(scores) + self.m * self.m
+        touched = self._touched
+        children = self.children
+        if self._scores is None or len(touched) > len(children):
+            self._scores = [child.query() for child in children]
+            ticks = len(children)
+            moved = True
+        elif touched:
+            sids = touched[0] if len(touched) == 1 else set().union(*touched)
+            scores = self._scores
+            ticks = len(sids)
+            moved = False
+            for sid in sids:
+                score = children[sid].query()
+                if score != scores[sid]:
+                    scores[sid] = score
+                    moved = True
+        else:
+            return self._cached
+        touched.clear()
+        if moved:
+            total, self._chain = self.grid.chain_dp(self._scores)
             self._cached = int(round(total))
-            self._chain = chain
-            self._dirty = False
+            ticks += self.m * self.m
+        self.ctx.meter.ticks += ticks
         return self._cached
 
     def extract(self) -> list[tuple[Any, Any]]:
@@ -336,6 +383,9 @@ class GridBlock(GeneratorBlock):
             if len(sub) > len(best):
                 best = sub
         return prof + best
+
+    def leaf_elements(self) -> int:
+        return sum(child.leaf_elements() for child in self.children)
 
 
 class KeyedWrapped:
@@ -374,6 +424,9 @@ class KeyedWrapped:
 
     def describe(self) -> list[tuple[int, int]]:
         return self._wrapped.active.describe()
+
+    def leaf_elements(self) -> int:
+        return self._wrapped.active.leaf_elements()
 
     @property
     def max_live_instances(self) -> int:
@@ -625,7 +678,7 @@ class GridLis(_PositionalBase):
     """A single grid-packing level with exact children, block-wrapped."""
 
     def __init__(self, kappa: float, level: int = 1,
-                 meter: Optional[WorkMeter] = None, seed: int = 0,
+                 meter: Optional[WorkMeter] = None,
                  cutoff: int = BASE_CUTOFF,
                  m_override: Optional[int] = None,
                  fault_skip_segment: bool = False) -> None:
@@ -670,11 +723,11 @@ class _KeyedFrontend:
             lo = self.keys[p - 2] if p >= 2 else None
             hi = self.keys[p - 1] if p - 1 < len(self.keys) else None
             if lo is None and hi is None:
-                key = 0
+                key = FIRST_KEY
             elif lo is None:
-                key = hi - KEY_GAP
+                key = _key_step(hi, -1)
             elif hi is None:
-                key = lo + KEY_GAP
+                key = _key_step(lo, 1)
             else:
                 key = _key_between(lo, hi)
             self.keys.insert(p - 1, key)
@@ -702,7 +755,7 @@ class HierarchyLis(_PositionalBase):
     """Recursive grid hierarchy: depth ceil(4/eps), kappa = eps/2."""
 
     def __init__(self, epsilon: float, meter: Optional[WorkMeter] = None,
-                 seed: int = 0, cutoff: int = BASE_CUTOFF,
+                 cutoff: int = BASE_CUTOFF,
                  fault_skip_segment: bool = False) -> None:
         if not 0.0 < epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
@@ -732,6 +785,12 @@ class HierarchyLis(_PositionalBase):
     def touched_segments(self) -> int:
         return self.ctx.touched_segments
 
+    @property
+    def leaf_elements(self) -> int:
+        """Elements held by the exact leaves under the active generations,
+        counting each copy; counted by a walk on every read."""
+        return self._front.engine.leaf_elements()
+
 
 # -- engine constructors -------------------------------------------------
 
@@ -746,14 +805,14 @@ def sqrt_engine(epsilon: float, meter: Optional[WorkMeter] = None,
 
 
 def hierarchy_engine(epsilon: float, meter: Optional[WorkMeter] = None,
-                     seed: int = 0, cutoff: int = BASE_CUTOFF) -> HierarchyLis:
-    return HierarchyLis(epsilon, meter=meter, seed=seed, cutoff=cutoff)
+                     cutoff: int = BASE_CUTOFF) -> HierarchyLis:
+    return HierarchyLis(epsilon, meter=meter, cutoff=cutoff)
 
 
 def grid_engine(kappa: float, level: int = 1, meter: Optional[WorkMeter] = None,
-                seed: int = 0, cutoff: int = BASE_CUTOFF,
+                cutoff: int = BASE_CUTOFF,
                 m_override: Optional[int] = None) -> GridLis:
-    return GridLis(kappa, level=level, meter=meter, seed=seed, cutoff=cutoff,
+    return GridLis(kappa, level=level, meter=meter, cutoff=cutoff,
                    m_override=m_override)
 
 

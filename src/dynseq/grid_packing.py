@@ -85,11 +85,14 @@ class GridPacking:
             for sp in self.line_packing.segments:
                 segs.append(GridSegment(len(segs), COL, c, sp.lo, sp.hi))
         self.segments = segs
-        # per-cell covering ids and per-top-right-cell buckets for the DP
+        # per-cell covering ids; for the DP, per top-right cell [row][col]
+        # the segments ending there as (id, 0-based bottom-left row, col)
         self.cell_cover: dict[tuple[int, int], list[int]] = {}
-        self._by_top_right: dict[tuple[int, int], list[int]] = {}
+        self._by_top_right = [[[] for _ in range(m + 1)] for _ in range(m + 1)]
         for s in segs:
-            self._by_top_right.setdefault(s.top_right, []).append(s.id)
+            row, col = s.top_right
+            r0, c0 = s.bottom_left
+            self._by_top_right[row][col].append((s.id, r0 - 1, c0 - 1))
             for cell in s.cells():
                 self.cell_cover.setdefault(cell, []).append(s.id)
 
@@ -143,27 +146,26 @@ class GridPacking:
         m = self.m
         width = m + 1
         D = [[0.0] * width for _ in range(width)]
-        # decision per cell: -1 take D[i-1][j], -2 take D[i][j-1], else segment id
-        decision = [[-1] * width for _ in range(width)]
+        # decision per cell: -1 take D[i-1][j], -2 take D[i][j-1], else the
+        # (id, corner row, corner col) entry of the segment taken
+        decision: list[list] = [[-1] * width for _ in range(width)]
         for i in range(1, width):
             Di = D[i]
             deci = decision[i]
             Dprev = D[i - 1]
+            ends = self._by_top_right[i]
             for j in range(1, width):
                 best = Dprev[j]
                 pick = -1
                 if Di[j - 1] > best:
                     best = Di[j - 1]
                     pick = -2
-                ids = self._by_top_right.get((i, j))
-                if ids:
-                    for sid in ids:
-                        s = self.segments[sid]
-                        bl_r, bl_c = s.bottom_left
-                        cand = D[bl_r - 1][bl_c - 1] + scores[sid]
-                        if cand > best:
-                            best = cand
-                            pick = sid
+                for end in ends[j]:
+                    sid, r0, c0 = end
+                    cand = D[r0][c0] + scores[sid]
+                    if cand > best:
+                        best = cand
+                        pick = end
                 Di[j] = best
                 deci[j] = pick
         chain: list[int] = []
@@ -175,9 +177,8 @@ class GridPacking:
             elif pick == -2:
                 j -= 1
             else:
-                chain.append(pick)
-                bl_r, bl_c = self.segments[pick].bottom_left
-                i, j = bl_r - 1, bl_c - 1
+                sid, i, j = pick
+                chain.append(sid)
         chain.reverse()
         return D[m][m], chain
 

@@ -77,15 +77,14 @@ def partition_baseline(values: Sequence[int]) -> Partition:
 
 
 def partition_dynamic(values: Sequence[int], epsilon: float,
-                      seed: int = 0,
                       meter: Optional[WorkMeter] = None) -> Partition:
     """Approximate route via two dynamic LIS engines; also returns the
     engine-operation count through the .ops_issued attribute."""
     n = len(values)
     if len(set(values)) != n:
         raise ValueError("values must be distinct")
-    fwd = hierarchy_engine(epsilon, meter=meter, seed=seed)
-    rev = hierarchy_engine(epsilon, meter=meter, seed=seed + 1)
+    fwd = hierarchy_engine(epsilon, meter=meter)
+    rev = hierarchy_engine(epsilon, meter=meter)
     ops = 0
     shadow_f: list[int] = []
     shadow_r: list[int] = []

@@ -209,7 +209,7 @@ def test_criterion_5_hierarchy_engine():
     fit_streams = 10
     depth_seen = 0
     for i in range(streams):
-        eng = hierarchy_engine(eps, seed=500 + i)
+        eng = hierarchy_engine(eps)
         # five long insert-heavy streams push the recursion deeper
         long_run = i % 6 == 5
         items = generate_stream("uniform" if i % 3 else "sawtooth",
@@ -371,7 +371,7 @@ def test_criterion_8_partitioning():
             base = partition_baseline(vals)
             assert partition_is_valid(vals, base), (n, seed)
             assert len(base) <= 2 * math.isqrt(n) + 1, (n, seed, len(base))
-            dyn = partition_dynamic(vals, eps, seed=seed)
+            dyn = partition_dynamic(vals, eps)
             assert partition_is_valid(vals, dyn), (n, seed)
             assert dyn.ops_issued == 4 * n, (n, seed, dyn.ops_issued)
             cs.append(len(dyn) / math.sqrt(n))

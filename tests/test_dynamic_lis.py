@@ -1,15 +1,22 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from dynseq.block_scheduler import WrappedEstimator
 from dynseq.classic import lis_length
 from dynseq.dynamic_dtm import DtmDynamic
-from dynseq.dynamic_lis import (GridBlock, grid_engine, hierarchy_engine,
-                                naive_engine, sqrt_engine)
+from dynseq.dynamic_lis import (KEY_WHOLE, GridBlock, KeyedNaive,
+                                KeyedNaiveBlock, KeyedWrapped, _key_between,
+                                grid_engine, hierarchy_engine, naive_engine,
+                                sqrt_engine)
 from dynseq.indexed_sequence import (INSERT, DuplicateValueError, PositionError,
                                      dele, ins)
 from dynseq.lis_plus import LisPlus
+from dynseq.streams import generate_stream
 from dynseq.work import WorkMeter
 from oracles import fenwick_lis, fresh_values
 
@@ -174,7 +181,7 @@ def test_sqrt_continues_exact_generations_across_branch_flips():
 
 def test_grid_engine_tracks_oracle_within_factor():
     for m in (4, 8):
-        eng = grid_engine(0.5, level=1, seed=m, cutoff=24, m_override=m)
+        eng = grid_engine(0.5, level=1, cutoff=24, m_override=m)
         worst = 1.0
 
         def check(step, engine, arr):
@@ -237,7 +244,7 @@ def test_insert_max_at_end_routes_to_top_corner():
 
 
 def test_hierarchy_sound_and_extractable():
-    eng = hierarchy_engine(0.8, seed=9, cutoff=48)
+    eng = hierarchy_engine(0.8, cutoff=48)
     worst = 1.0
 
     def check(step, engine, arr):
@@ -256,7 +263,7 @@ def test_hierarchy_sound_and_extractable():
 
 
 def test_hierarchy_growing_maximum_keeps_estimate():
-    eng = hierarchy_engine(0.8, seed=10, cutoff=32)
+    eng = hierarchy_engine(0.8, cutoff=32)
     arr = []
     prev = 0
     for i in range(300):
@@ -269,7 +276,7 @@ def test_hierarchy_growing_maximum_keeps_estimate():
 
 
 def test_routing_touch_bound():
-    eng = hierarchy_engine(0.8, seed=12, cutoff=48)
+    eng = hierarchy_engine(0.8, cutoff=48)
     rng = random.Random(13)
     n = 0
     used = set()
@@ -320,3 +327,156 @@ def test_column_assignment_matches_recount():
         scratch_col = sum(1 for b in blk.col_bounds if b <= key) + 1
         assert blk._locate(key, v)[1] == scratch_col
         assert scratch_col == bisect_right(blk.col_bounds, key) + 1
+
+
+# -- frontend keys ----------------------------------------------------------
+
+
+def key_value(key):
+    """The number a frontend key stands for: whole part, then base-256
+    fraction digits."""
+    return Fraction(int.from_bytes(key, "big"), 256 ** (len(key) - KEY_WHOLE))
+
+
+def check_keys(keys):
+    for key in keys:
+        assert isinstance(key, bytes) and len(key) >= KEY_WHOLE, key
+        assert len(key) == KEY_WHOLE or key[-1] != 0, key   # no trailing zero
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert all(key_value(a) < key_value(b) for a, b in zip(keys, keys[1:]))
+
+
+def test_frontend_keys_are_ordered_byte_strings():
+    eng = hierarchy_engine(0.5)
+    drive(eng, 1500, 21)
+    check_keys(eng._front.keys)
+    for pos in (1, 2):
+        eng = hierarchy_engine(0.5)
+        rng = random.Random(pos)
+        for i, v in enumerate(rng.sample(range(10 ** 6), 2000)):
+            eng.apply(ins(min(pos, i + 1), v))
+        check_keys(eng._front.keys)
+        assert eng._front.engine._wrapped.mirror.keys == eng._front.keys
+    # 1999 inserts at position 2 halve one gap each time: 8 bits per byte
+    assert max(map(len, eng._front.keys)) <= KEY_WHOLE + 1999 // 8 + 1
+
+
+frontend_keys = st.builds(
+    lambda whole, frac: whole.to_bytes(KEY_WHOLE, "big") + frac.rstrip(b"\0"),
+    st.integers(0, (1 << 8 * KEY_WHOLE) - 1), st.binary(max_size=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(frontend_keys, frontend_keys)
+def test_key_between_is_strictly_between(a, b):
+    assume(a != b)
+    assert (a < b) == (key_value(a) < key_value(b))   # byte order is numeric order
+    lo, hi = min(a, b), max(a, b)
+    key = _key_between(lo, hi)
+    check_keys([lo, key, hi])
+    assert len(key) <= max(len(lo), len(hi)) + 1
+
+
+# -- incremental grid queries ------------------------------------------------
+
+
+def cursor_stream(ops, seed, hold=50):
+    """Editor-cursor inserts, ``hold`` in a row at one position, and
+    uniform deletes."""
+    rng = random.Random(seed)
+    used = set()
+    n = cursor = left = 0
+    items = []
+    for _ in range(ops):
+        if n and rng.random() < 0.3:
+            items.append(dele(rng.randint(1, n)))
+            n -= 1
+            continue
+        if left == 0:
+            cursor, left = rng.randint(1, n + 1), hold
+        left -= 1
+        (v,) = fresh_values(rng, used)
+        items.append(ins(min(cursor, n + 1), v))
+        n += 1
+    return items
+
+
+def checked_score(est):
+    """An estimator's answer rebuilt from its leaves, asserting on the way
+    that every active GridBlock answers chain_dp over all of its children's
+    fresh scores."""
+    if isinstance(est, KeyedWrapped):
+        est = est._wrapped.active
+    if isinstance(est, GridBlock):
+        total, _ = est.grid.chain_dp([checked_score(c) for c in est.children])
+        assert est.query() == int(round(total))
+        return est.query()
+    if isinstance(est, KeyedNaiveBlock):
+        est = est.inner
+    return fenwick_lis(est.values)
+
+
+@pytest.mark.parametrize("stream", ["uniform", "cursor"])
+def test_grid_block_answer_equals_full_recompute(stream):
+    items = (generate_stream("uniform", 500, 4) if stream == "uniform"
+             else cursor_stream(500, 4))
+    eng = hierarchy_engine(0.5, cutoff=16)
+    depth = 0
+    for op in items:
+        eng.apply(op)
+        assert checked_score(eng._front.engine) == eng.query()
+        depth = max(depth, len(eng.describe()))
+    assert depth >= 3
+
+
+def test_query_requeries_only_touched_children(monkeypatch):
+    calls = handovers = 0
+    leaf_query = KeyedNaive.query
+    handover = WrappedEstimator._handover
+
+    def counted_query(self):
+        nonlocal calls
+        calls += 1
+        return leaf_query(self)
+
+    def counted_handover(self):
+        nonlocal handovers
+        handovers += 1
+        handover(self)
+
+    monkeypatch.setattr(KeyedNaive, "query", counted_query)
+    monkeypatch.setattr(WrappedEstimator, "_handover", counted_handover)
+    eng = hierarchy_engine(0.5)
+    checked = 0
+    for t, op in enumerate(generate_stream("uniform", 3000, 5)):
+        touched, seen = eng.touched_segments, handovers
+        eng.apply(op)
+        calls = 0
+        eng.query()
+        # a block's first query re-queries all of its children; after a
+        # warm-up, steps without a handover have no first queries
+        if t >= 1000 and handovers == seen:
+            assert calls <= eng.touched_segments - touched, t
+            checked += 1
+    assert checked >= 1000, checked
+
+
+def test_leaf_elements_counts_every_copy():
+    eng = hierarchy_engine(0.5, cutoff=16)
+    drive(eng, 400, 17)
+    leaves = []
+
+    def walk(est):
+        if isinstance(est, KeyedWrapped):
+            walk(est._wrapped.active)
+        elif isinstance(est, GridBlock):
+            for child in est.children:
+                walk(child)
+        elif isinstance(est, KeyedNaiveBlock):
+            leaves.append(est.inner.keys)
+        else:
+            leaves.append(est.keys)
+
+    walk(eng._front.engine)
+    assert eng.leaf_elements == sum(map(len, leaves)) > 2 * len(eng)
+    assert {k for leaf in leaves for k in leaf} == set(eng._front.keys)

@@ -55,7 +55,7 @@ def test_dynamic_partition_validity_and_ops():
     rng = random.Random(52)
     for n in (16, 128, 400):
         vals = rng.sample(range(1 << 30), n)
-        part = partition_dynamic(vals, 0.8, seed=n)
+        part = partition_dynamic(vals, 0.8)
         assert partition_is_valid(vals, part)
         assert part.ops_issued == 4 * n
         assert len(part) <= 4 * math.isqrt(n) + 4

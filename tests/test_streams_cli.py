@@ -195,14 +195,15 @@ def test_bench_reproducible():
 
 def test_bench_matches_committed_output():
     # written by the per-command replay loops that the shared driver
-    # replaced; four edits since: the engine=dtm kind=reverse ratio_max,
+    # replaced; five edits since: the engine=dtm kind=reverse ratio_max,
     # lowered by capping the DTM estimate at n, the work_p50/p95/max of the
     # four engine=dtm lines, lowered by the O(k log n) exact_dtm, the
     # work_p50/p95/max of the four engine=sqrt lines, lowered by exact
     # generations continuing on the live level structure, and the
     # work_p50/p95/max of the sqrt, dtm and lisplus lines, lowered by order
     # labels replacing position lookups and by the paced one-pass sqrt
-    # preprocessing
+    # preprocessing, and the work_p95 of the engine=hier sorted and sawtooth
+    # lines, lowered by grid queries that re-query only touched children
     golden = Path(__file__).parent / "data" / "bench_sizes200_seed7.txt"
     rc, out = run_cli("bench", "--engines", "naive,sqrt,hier,dtm,lisplus",
                       "--sizes", "200", "--seed", "7")
