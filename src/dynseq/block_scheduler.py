@@ -22,6 +22,7 @@ approximation guarantee of the block algorithm carries over unchanged.
 from __future__ import annotations
 
 import random
+from collections import deque
 from typing import Any, Callable, Iterator, Optional
 
 from .indexed_sequence import INSERT, Operation
@@ -237,7 +238,10 @@ class WrappedEstimator:
         self._continuing = False   # _warming shares the active block's state
         self._warm_quantum = 0
         self._warm_applied = 0
-        self._buffer: list[tuple[Operation, Any]] = []
+        # operations a rebuilt successor has yet to replay while it warms;
+        # None otherwise: an empty deque holds a 64-slot block, and
+        # partitioning 600 elements keeps about a thousand estimators
+        self._buffer: Optional[deque[tuple[Operation, Any]]] = None
         self.generations_rebuilt = 0
         self.generations_continued = 0
         # first generation: preprocessed on the spot, charged to the caller
@@ -250,12 +254,12 @@ class WrappedEstimator:
     def _begin_warming(self) -> None:
         snap = self.mirror.snapshot()
         self._warm_applied = 0
-        self._buffer = []
         inst = self._active.continuation(snap)
         self._continuing = inst is not None
         if self._continuing:
             self._warming = inst
             return
+        self._buffer = deque()
         inst = self.factory(snap)
         self._alive(+1)
         g = self._active.capacity()
@@ -297,7 +301,7 @@ class WrappedEstimator:
                 if self._warming.preprocess_step(0):
                     drained = 0
                     while self._buffer and drained < 2:
-                        b_op, b_ctx = self._buffer.pop(0)
+                        b_op, b_ctx = self._buffer.popleft()
                         self._warming.apply(b_op, b_ctx)
                         self._warm_applied += 1
                         drained += 1
@@ -322,9 +326,10 @@ class WrappedEstimator:
                     raise ContractViolationError(
                         "successor not preprocessed at handover; relativity breach?")
             while self._buffer:
-                b_op, b_ctx = self._buffer.pop(0)
+                b_op, b_ctx = self._buffer.popleft()
                 self._warming.apply(b_op, b_ctx)
                 self._warm_applied += 1
+            self._buffer = None
             self._alive(-1)
             self.generations_rebuilt += 1
         self._active = self._warming

@@ -125,11 +125,11 @@ def _lis_plus_audit(engine, est, oracle, step, shadow) -> None:
 
 
 def _dtm_audit(epsilon: float):
-    """An upper bound on the DTM within a factor 1 + 3 eps of it."""
+    """An upper bound on the DTM within a factor 1 + eps of it."""
     def audit(engine, rep, exact, step, shadow) -> None:
         if rep < exact:
             raise AuditError(f"reported {rep} below exact {exact}")
-        if rep > (1 + 3 * epsilon) * max(exact, 1) + 1e-9:
+        if rep > (1 + epsilon) * exact + 1e-9:
             raise AuditError(f"reported {rep} above bound for exact {exact}")
     return audit
 

@@ -12,18 +12,22 @@ route groups unmatched elements by which cover elements they invert with
 and solves a weighted instance of size O(k).
 
 The dynamic (1+eps) engine recomputes the exact value d at the start of
-each block generation and reports d + i at local step i, valid because one
-operation changes the optimum by at most one.  The report is capped at the
-array length, which the optimum never exceeds.  The recompute,
-``InversionMatching.exact_dtm``, runs the label route on the live matching
-in O(k log n) for k matched elements: it never visits the n - k unmatched
-ones one by one.
+each block generation and reports d + a after a inserts.  An insert raises
+the optimum by at most one and a delete never raises it, so d + a is an
+upper bound, and a generation of floor(eps*d/(1+eps)) operations keeps it
+within (1+eps) of the optimum (``_DtmBlock`` gives the proof).  The report
+is capped at the array length, which the optimum never exceeds.  The
+recompute, ``InversionMatching.exact_dtm``, runs the label route on the
+live matching in O(k log n) for k matched elements, in the ranks of the
+unmatched tree: it never visits the n - k unmatched ones one by one, and
+looks up no positions.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from operator import attrgetter, itemgetter
 from typing import Optional, Sequence
 
 from .block_scheduler import GeneratorBlock, NullMirror, wrap
@@ -70,8 +74,7 @@ class InversionMatching:
         h = self.backing._pop(op)
         node = self._tn_node.pop(id(h), None)
         if node is not None:
-            r = self.tn.rank_of(node)
-            self.tn.detach_range(r, r)
+            self.tn.unlink(node)
         else:
             partner = self._mate.pop(id(h))
             del self._mate[id(partner)]
@@ -82,26 +85,23 @@ class InversionMatching:
     def _place(self, h) -> None:
         """Match h against the unmatched set or add it there."""
         v = h.value
-        i = self.tn.rank_first_value_gt(v)
-        mate_rank = 0
-        if i > 1:
-            pred = self.tn.node_at(i - 1)
-            if pred.extra.label > h.label:
-                mate_rank = i - 1
-        if mate_rank == 0 and i <= len(self.tn):
-            succ = self.tn.node_at(i)
-            if succ.extra.label < h.label:
-                mate_rank = i
-        if mate_rank:
-            mate_node = self.tn.node_at(mate_rank)
+        tn = self.tn
+        i, pred, succ = tn.value_neighbours(v)
+        if pred is not None and pred.extra.label > h.label:
+            mate_node = pred
+        elif succ is not None and succ.extra.label < h.label:
+            mate_node = succ
+        else:
+            mate_node = None
+        if mate_node is not None:
             mate = mate_node.extra
-            self.tn.detach_range(mate_rank, mate_rank)
+            tn.unlink(mate_node)
             del self._tn_node[id(mate)]
             self._mate[id(h)] = mate
             self._mate[id(mate)] = h
             self.s_count += 1
         else:
-            self._tn_node[id(h)] = self.tn.insert(i, v, extra=h)
+            self._tn_node[id(h)] = tn.insert(i, v, extra=h)
 
     def approx2_query(self) -> tuple[int, int]:
         return self.s_count, 2 * self.s_count
@@ -122,33 +122,36 @@ class InversionMatching:
     def exact_dtm(self) -> int:
         """Exact DTM of the live array from the matching state, via labels.
 
-        O(k log n) for k matched elements: one position lookup and one value
-        descent per matched element, one selection per label class, and
-        the weighted instance ordered by unmatched rank, not by position.
+        O(k log n) for k matched elements, in unmatched-rank space: two
+        descents of the unmatched tree per matched element, one by order
+        label and one by value, and no position lookup.  The unmatched
+        elements increase in both position and value, so one rank orders
+        them both ways; a label class [lo, hi) is keyed by its rank lo,
+        and a matched element of value v by (sigma, v), sigma being the
+        number of unmatched values below v.
         """
         tn = self.tn
         nlen = len(tn)
-        pos = self.backing.position_of
-        matched = sorted((pos(h), h.value) for h in self.matched_handles())
+        matched = sorted(self.matched_handles(), key=attrgetter("label"))
         cuts = set()
         items = []
-        for i, (p, v) in enumerate(matched):
-            # i matched elements precede position p, so p - 1 - i unmatched do
-            rho = p - 1 - i
+        for h in matched:
+            v = h.value
+            # unmatched elements before h, and below it in value
+            rho = tn.rank_after(h.label) - 1
             sigma = tn.rank_first_value_gt(v) - 1
-            lo, hi = (rho, sigma) if rho <= sigma else (sigma, rho)
-            if lo < hi:
-                cuts.add(lo)
-                cuts.add(hi)
+            if rho != sigma:
+                cuts.add(rho)
+                cuts.add(sigma)
             # just before the unmatched element of 0-based rank rho
-            items.append((rho, 0, v, 1))
+            items.append((rho, 0, (sigma, 0, v), 1))
         bounds = sorted(cuts | {0, nlen})
         for a, b in zip(bounds, bounds[1:]):
-            items.append((a, 1, tn.node_at(a + 1).value, b - a))
-        # stable: matched elements of equal rho keep their position order
-        items.sort(key=lambda t: (t[0], t[1]))
+            items.append((a, 1, (a, 1, 0), b - a))
+        # stable: matched elements of equal rho keep their label order
+        items.sort(key=itemgetter(0, 1))
         total = len(matched) + nlen
-        return total - weighted_his([(v, w) for _, _, v, w in items])
+        return total - weighted_his([(key, w) for _, _, key, w in items])
 
 
 # ---------------------------------------------------------------------------
@@ -249,18 +252,34 @@ def exact_from_cover_vc(values: Sequence[int], cover_idx: Sequence[int]) -> int:
 
 
 class _DtmBlock(GeneratorBlock):
-    """One generation: exact value d at the snapshot, then report d + i."""
+    """One generation: exact value d at the snapshot, then report d + a for
+    the a inserts since.
+
+    An insert raises the DTM by at most one; a delete never raises it and
+    lowers it by at most one.  After a inserts and b deletes the DTM lies in
+    [d - b, d + a], so d + a never underestimates it, and while
+    a + b <= eps*d/(1+eps) it overestimates it by at most a factor 1 + eps:
+    (1+eps)(d - b) - (d + a) = eps*d - (1+eps)*b - a
+    >= eps*d - (1+eps)(a + b) >= 0.  Hence the capacity
+    g = floor(eps*d/(1+eps)), and at least one, which keeps a zero exact.
+
+    The scheduler takes the successor's snapshot after s of this
+    generation's g operations (nine tenths; all of them when g = 1), and
+    the successor takes over having applied the other g - s.  Its own d is
+    at least d - s, and g - s <= eps*d/(1+eps) - s <= eps*(d - s)/(1+eps),
+    so those operations fit its capacity too.
+    """
 
     def __init__(self, matching: InversionMatching, epsilon: float) -> None:
         super().__init__()
-        k = matching.s_count
-        # computed here, at handover, in O(k log n): spreading it across the
-        # generation would need a frozen copy of the matching, since the
-        # live one keeps moving, and none is kept; so this step, not the
-        # plain updates, sets the worst-case update time
+        # computed here, at the successor's snapshot, in O(k log n):
+        # spreading it across the generation would need a frozen copy of
+        # the matching, since the live one keeps moving, and none is kept;
+        # so this step, not the plain updates, sets the worst-case update
+        # time
         self.d = matching.exact_dtm()
-        self.i = 0
-        self._cap = max(1, math.ceil(epsilon * k / 2.0))
+        self.a = 0
+        self._cap = max(1, math.floor(epsilon * self.d / (1.0 + epsilon)))
 
     def capacity(self) -> int:
         return self._cap
@@ -272,10 +291,11 @@ class _DtmBlock(GeneratorBlock):
         yield
 
     def apply(self, op: Operation, ctx) -> None:
-        self.i += 1
+        if op.kind == INSERT:
+            self.a += 1
 
     def query(self) -> int:
-        return self.d + self.i
+        return self.d + self.a
 
 
 class DtmDynamic:

@@ -134,8 +134,9 @@ class ExactDynamicLis:
         lev = self._level_for(h.label, value)
         lvl = self.levels[lev - 1]
         r = lvl.rank_first_value_lt(value) - 1
-        gone = lvl.detach_range(r, r)
-        assert gone.node_at(1).extra is h
+        gone = lvl.node_at(r)
+        assert gone.extra is h
+        lvl.unlink(gone)
         support = lvl
         start_rank = r
         for k in range(lev + 1, len(self.levels) + 1):
@@ -299,8 +300,8 @@ class ExactDynamicLis:
             # element-wise placement (kept for safety, expected never to run)
             self.merge_fallbacks += 1
             while src.root is not None:
-                one = src.detach_range(1, 1)
-                node = one.node_at(1)
+                node = src.node_at(1)
+                src.unlink(node)
                 j = dst.rank_first_value_lt(node.value)
                 dst.insert_node(j, node)
             return

@@ -317,37 +317,52 @@ class Seq:
         """First rank whose value is below v; assumes values descend along
         the sequence (the level-tree order)."""
         t = self.root
-        res = (t.size + 1) if t is not None else 1
-        acc = 0
+        acc = 0     # elements before the rank sought
         ticks = 0
         while t is not None:
             ticks += 1
             if t.value < v:
-                res = acc + (t.left.size if t.left is not None else 0) + 1
                 t = t.left
             else:
                 acc += (t.left.size if t.left is not None else 0) + 1
                 t = t.right
         self.meter.ticks += ticks
-        return res
+        return acc + 1
 
     def rank_first_value_gt(self, v) -> int:
         """First rank whose value is above v; assumes values ascend along
         the sequence (the unmatched-element tree of the DTM matching)."""
         t = self.root
-        res = (t.size + 1) if t is not None else 1
-        acc = 0
+        acc = 0     # elements before the rank sought
         ticks = 0
         while t is not None:
             ticks += 1
             if t.value > v:
-                res = acc + (t.left.size if t.left is not None else 0) + 1
                 t = t.left
             else:
                 acc += (t.left.size if t.left is not None else 0) + 1
                 t = t.right
         self.meter.ticks += ticks
-        return res
+        return acc + 1
+
+    def value_neighbours(self, v) -> tuple[int, Optional[Node], Optional[Node]]:
+        """``rank_first_value_gt(v)`` with the nodes just before and at that
+        rank (None past either end), which its descent passes through."""
+        t = self.root
+        acc = 0
+        ticks = 0
+        pred = succ = None
+        while t is not None:
+            ticks += 1
+            if t.value > v:
+                succ = t
+                t = t.left
+            else:
+                acc += (t.left.size if t.left is not None else 0) + 1
+                pred = t
+                t = t.right
+        self.meter.ticks += ticks
+        return acc + 1, pred, succ
 
     def __len__(self) -> int:
         return self.root.size if self.root is not None else 0
@@ -411,15 +426,39 @@ class Seq:
         return pred, succ
 
     def delete_at(self, pos: int) -> Node:
-        a, rest = _split(self.root, pos - 1, self.meter)
-        mid, b = _split(rest, 1, self.meter)
-        self.root = _join(a, b, self.meter)
-        if self.root is not None:
-            self.root.parent = None
-        mid.parent = None
-        mid.left = mid.right = None
-        mid.size = 0  # dead marker
-        return mid
+        node = _select(self.root, pos, self.meter)
+        self.unlink(node)
+        return node
+
+    def unlink(self, node: Node) -> None:
+        """Remove a live node of this sequence in place.
+
+        Its children's join takes its slot and every ancestor's size drops
+        by one.  A treap is unique for its priorities, so the tree is the
+        one a split around the node and a join would leave.  The node is
+        left dead (size 0)."""
+        if node.size == 0:
+            raise DeadHandleError("handle was deleted")
+        meter = self.meter
+        sub = _join(node.left, node.right, meter)
+        p = node.parent
+        if sub is not None:
+            sub.parent = p
+        if p is None:
+            self.root = sub
+        else:
+            if p.left is node:
+                p.left = sub
+            else:
+                p.right = sub
+            ticks = 0
+            while p is not None:
+                ticks += 1
+                p.size -= 1
+                p = p.parent
+            meter.ticks += ticks
+        node.parent = node.left = node.right = None
+        node.size = 0  # dead marker
 
     def node_at(self, pos: int) -> Node:
         return _select(self.root, pos, self.meter)
@@ -476,19 +515,17 @@ class Seq:
         above ``label``, or len+1; assumes the handles are in sequence order
         (the level-tree order)."""
         t = self.root
-        res = (t.size + 1) if t is not None else 1
-        acc = 0
+        acc = 0     # elements before the rank sought
         ticks = 0
         while t is not None:
             ticks += 1
             if t.extra.label > label:
-                res = acc + (t.left.size if t.left is not None else 0) + 1
                 t = t.left
             else:
                 acc += (t.left.size if t.left is not None else 0) + 1
                 t = t.right
         self.meter.ticks += ticks
-        return res
+        return acc + 1
 
     def split(self, k: int) -> "Seq":
         """Detach and return the first k elements as a new Seq."""

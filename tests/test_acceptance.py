@@ -293,7 +293,7 @@ def test_criterion_6_dtm_suite():
                 apply_to_shadow(shadow, op)
                 rep = eng.query()
                 exact = len(shadow) - lis_length(shadow)
-                assert exact <= rep <= (1 + 3 * eps) * max(exact, 1) + 1e-9, \
+                assert exact <= rep <= (1 + eps) * exact + 1e-9, \
                     (eps, seed, rep, exact)
     # (e) sequential: the small-cover branch fires and agrees with the oracle
     small_branch = 0

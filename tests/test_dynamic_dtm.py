@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -235,7 +236,90 @@ def test_dynamic_engine_audit():
             rep = e.query()
             exact = fenwick_dtm(arr)
             assert exact <= rep, (step, rep, exact)
-            assert rep <= (1 + 3 * eps) * max(exact, 1) + 1e-9, (step, rep, exact)
+            assert rep <= (1 + eps) * exact + 1e-9, (step, rep, exact)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "sorted", "reverse", "sawtooth"])
+def test_dynamic_engine_bound_after_every_operation(kind):
+    # d + a after a inserts and b deletes, with a + b <= eps*d/(1+eps)
+    for eps in (0.1, 0.25, 0.5):
+        e = DtmDynamic(eps, seed=17)
+        arr = []
+        for step, op in enumerate(generate_stream(kind, 500, 17)):
+            e.apply(op)
+            if op.kind == "I":
+                arr.insert(op.position - 1, op.value)
+            else:
+                arr.pop(op.position - 1)
+            rep = e.query()
+            exact = fenwick_dtm(arr)
+            assert exact <= rep <= len(arr), (eps, step, rep, exact)
+            assert rep <= (1 + eps) * exact + 1e-9, (eps, step, rep, exact)
+
+
+def _near_sorted_ops(seed, n, steps, outliers):
+    """n near-sorted inserts, then alternating near-sorted insert / uniform
+    delete.  While fewer than ``outliers`` outliers are present an insert
+    gets a uniform value, otherwise one between its nearest non-outlier
+    neighbours, so the DTM stays at ``outliers`` at most."""
+    rng = random.Random(seed)
+    gap = 1 << 40
+    arr: list[int] = []
+    out: set[int] = set()
+    ops = []
+
+    def insert():
+        p = rng.randint(1, len(arr) + 1)
+        if len(out) < outliers:
+            v = rng.randrange(0, (len(arr) + 2) * gap, 2) + 1
+            while v in out or v in arr:
+                v += 2
+            out.add(v)
+        else:
+            lo = next((x for x in reversed(arr[:p - 1]) if x not in out), 0)
+            hi = next((x for x in arr[p - 1:] if x not in out), lo + 2 * gap)
+            v = (lo + hi) // 2 & ~1
+            assert lo < v < hi
+        arr.insert(p - 1, v)
+        ops.append(ins(p, v))
+
+    for _ in range(n):
+        insert()
+    for step in range(steps):
+        if step % 2:
+            p = rng.randint(1, len(arr))
+            out.discard(arr.pop(p - 1))
+            ops.append(dele(p))
+        else:
+            insert()
+    return ops, arr
+
+
+def test_recompute_frequency_follows_exact_dtm(monkeypatch):
+    # generations last floor(eps*d/(1+eps)) operations for the exact d, so
+    # with d near 30 and eps = 0.5 about one recompute per 9 operations
+    n, steps, outliers, eps = 1000, 3000, 30, 0.5
+    ops, final = _near_sorted_ops(5, n, steps, outliers)
+    exact = fenwick_dtm(final)
+    assert outliers - 3 <= exact <= outliers
+    calls = 0
+    exact_dtm = InversionMatching.exact_dtm
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        return exact_dtm(self)
+
+    monkeypatch.setattr(InversionMatching, "exact_dtm", counting)
+    e = DtmDynamic(eps, seed=5)
+    for op in ops[:n]:
+        e.apply(op)
+    calls = 0
+    for op in ops[n:]:
+        e.apply(op)
+    assert exact <= e.query() <= (1 + eps) * exact
+    cap = math.floor(eps * (outliers - 3) / (1 + eps))
+    assert calls <= steps / cap + 20, calls
 
 
 def test_dynamic_engine_sorted_stream_stays_exact():

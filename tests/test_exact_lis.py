@@ -130,3 +130,20 @@ def test_extract_valid_witness():
             assert p1 < p2 and v1 < v2
         for p1, v1 in w:
             assert arr[p1 - 1] == v1
+
+
+def test_interleaved_merge_falls_back_to_element_moves():
+    # the fallback of _merge_by_value, which no replay reaches: values that
+    # interleave with the destination move one node at a time
+    ch = ExactDynamicLis(seed=4)
+    dst = ch._new_seq()
+    src = ch._new_seq()
+    for i, v in enumerate([90, 70, 50, 30]):
+        dst.insert(i + 1, v)
+    for i, v in enumerate([80, 60, 40]):
+        src.insert(i + 1, v)
+    ch._merge_by_value(dst, src)
+    assert ch.merge_fallbacks == 1
+    assert src.root is None
+    assert dst.materialize() == [90, 80, 70, 60, 50, 40, 30]
+    assert [dst.rank_of(n) for n in dst.nodes()] == list(range(1, 8))

@@ -95,7 +95,12 @@ def test_rank_first_value_gt_matches_bisect():
         vals = sorted(rng.sample(range(0, 10 * n + 10, 2), n))
         seq = Seq(items=vals)
         for v in range(-1, 10 * n + 12):
-            assert seq.rank_first_value_gt(v) == bisect_right(vals, v) + 1
+            i = bisect_right(vals, v)
+            assert seq.rank_first_value_gt(v) == i + 1
+            r, pred, succ = seq.value_neighbours(v)
+            assert r == i + 1
+            assert pred is (seq.node_at(i) if i else None)
+            assert succ is (seq.node_at(i + 1) if i < n else None)
 
 
 def test_replay_equivalence_random_stream():
@@ -249,3 +254,61 @@ def test_split_detach_rejoin_keeps_order():
     assert mid.materialize() == [v for v in range(0, 100, 2)][9:20]
     rest = inner.materialize()
     assert len(rest) == 50 - 11
+
+
+def _shape(seq: Seq) -> list[tuple]:
+    """In-order (value, size, parent, left, right) of every node, by value,
+    after checking sizes, parent links and heap order on the way."""
+    root = seq.root
+    assert root is None or root.parent is None
+    out = []
+    for n in seq.nodes():
+        size = 1
+        for c in (n.left, n.right):
+            if c is not None:
+                assert c.parent is n
+                assert c.prio <= n.prio
+                size += c.size
+        assert n.size == size
+        out.append((n.value, n.size,
+                    *(None if x is None else x.value
+                      for x in (n.parent, n.left, n.right))))
+    return out
+
+
+def test_unlink_matches_split_join_removal():
+    rng = random.Random(71)
+    for trial in range(20):
+        n = rng.randint(1, 120)
+        by_unlink = Seq(meter=WorkMeter(), rng=random.Random(trial),
+                        items=range(n))
+        by_split = Seq(meter=WorkMeter(), rng=random.Random(trial),
+                       items=range(n))
+        assert _shape(by_unlink) == _shape(by_split)
+        while len(by_split):
+            pos = rng.randint(1, len(by_split))
+            node = by_unlink.node_at(pos)
+            by_unlink.unlink(node)
+            by_split.detach_range(pos, pos)
+            assert _shape(by_unlink) == _shape(by_split)
+            assert node.size == 0
+            assert node.parent is node.left is node.right is None
+            with pytest.raises(DeadHandleError):
+                by_unlink.rank_of(node)
+            with pytest.raises(DeadHandleError):
+                by_unlink.unlink(node)
+        assert by_unlink.root is None
+
+
+def test_unlink_charges_fewer_ticks_than_split_join():
+    ticks = []
+    for remove in (lambda s, pos: s.unlink(s.node_at(pos)),
+                   lambda s, pos: s.detach_range(pos, pos)):
+        meter = WorkMeter()
+        s = Seq(meter=meter, rng=random.Random(3), items=range(2000))
+        rng = random.Random(4)
+        meter.ticks = 0
+        for _ in range(1000):
+            remove(s, rng.randint(1, len(s)))
+        ticks.append(meter.ticks)
+    assert ticks[0] < ticks[1], ticks

@@ -195,7 +195,7 @@ def test_bench_reproducible():
 
 def test_bench_matches_committed_output():
     # written by the per-command replay loops that the shared driver
-    # replaced; five edits since: the engine=dtm kind=reverse ratio_max,
+    # replaced; six edits since: the engine=dtm kind=reverse ratio_max,
     # lowered by capping the DTM estimate at n, the work_p50/p95/max of the
     # four engine=dtm lines, lowered by the O(k log n) exact_dtm, the
     # work_p50/p95/max of the four engine=sqrt lines, lowered by exact
@@ -203,7 +203,12 @@ def test_bench_matches_committed_output():
     # work_p50/p95/max of the sqrt, dtm and lisplus lines, lowered by order
     # labels replacing position lookups and by the paced one-pass sqrt
     # preprocessing, and the work_p95 of the engine=hier sorted and sawtooth
-    # lines, lowered by grid queries that re-query only touched children
+    # lines, lowered by grid queries that re-query only touched children,
+    # and the work_p50/p95/max of the engine=sqrt uniform, reverse and
+    # sawtooth lines and the work_p50/p95/max and ratio_max of the four
+    # engine=dtm lines, lowered by single-node deletes unlinking in place,
+    # a rank-space exact_dtm, one descent for both neighbours of a matching
+    # insert and DTM generations sized by the exact optimum
     golden = Path(__file__).parent / "data" / "bench_sizes200_seed7.txt"
     rc, out = run_cli("bench", "--engines", "naive,sqrt,hier,dtm,lisplus",
                       "--sizes", "200", "--seed", "7")
