@@ -179,7 +179,7 @@ def cmd_dtm_dyn(args, out) -> int:
 
 def cmd_dtm_seq(args, out) -> int:
     values = _read_array(args.array)
-    print(f"DTM {sequential_dtm(values, args.epsilon)}", file=out)
+    print(f"DTM {sequential_dtm(values)}", file=out)
     return EXIT_OK
 
 
@@ -365,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dtm_dyn)
 
     p = sub.add_parser("dtm-seq", help="sequential distance to monotonicity")
-    p.add_argument("--epsilon", type=_POSITIVE, default=0.1)
     p.add_argument("--array", required=True)
     p.set_defaults(func=cmd_dtm_seq)
 

@@ -299,7 +299,12 @@ class _DtmBlock(GeneratorBlock):
 
 
 class DtmDynamic:
-    """(1+eps)-approximate dynamic DTM with polylogarithmic step cost."""
+    """(1+eps)-approximate dynamic DTM.
+
+    An update costs O(log n), except that one step per generation, the one
+    that builds the successor, runs an O(k log n) ``exact_dtm`` for k
+    matched elements; it is not yet spread over the generation.
+    """
 
     def __init__(self, epsilon: float, meter: Optional[WorkMeter] = None,
                  seed: int = 0) -> None:
@@ -344,14 +349,13 @@ def stack_matching(values: Sequence[int]) -> list[tuple[int, int]]:
     return pairs
 
 
-def sequential_dtm(values: Sequence[int], epsilon: float = 0.1) -> int:
+def sequential_dtm(values: Sequence[int]) -> int:
     """Linear-pass 2-approximation refined to the exact value.
 
     The stack pass yields the cover; when it is small (at most sqrt(n)
     pairs) the label route is the intended fast path, and at this scale the
     same exact route also serves the large-cover branch.
     """
-    del epsilon  # the approximate large-cover branch is not needed here
     pairs = stack_matching(values)
     cover = [i for p in pairs for i in p]
     return exact_from_cover_labels(values, cover)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from .block_scheduler import (GeneratorBlock, PersistentMirror,
                               WrappedEstimator, wrap)
@@ -67,13 +67,13 @@ class EngineContext:
                  "fault_skip_segment", "m_override", "_grids")
 
     def __init__(self, kappa: float, meter: WorkMeter,
-                 cutoff: int = BASE_CUTOFF, fault_skip_segment: bool = False,
+                 cutoff: int = BASE_CUTOFF,
                  m_override: Optional[int] = None) -> None:
         self.kappa = kappa
         self.cutoff = cutoff
         self.meter = meter
         self.touched_segments = 0
-        self.fault_skip_segment = fault_skip_segment
+        self.fault_skip_segment = False   # mutation-testing hook (CLI --fault)
         self.m_override = m_override
         self._grids: dict[int, GridPacking] = {}
 
@@ -90,8 +90,19 @@ class EngineContext:
 # keyed engines (internal): elements addressed by stable order keys
 
 
+def _exact(level: int, n: int, ctx: EngineContext) -> bool:
+    """The one exact-or-grid rule: exact at recursion depth 0 or for fewer
+    than ``ctx.cutoff`` elements, a grid level otherwise."""
+    return level < 1 or n < ctx.cutoff
+
+
 class KeyedNaive:
-    """Exact keyed estimator: sorted key/value lists, patience per query."""
+    """Exact keyed estimator: sorted key/value lists, patience per query.
+
+    It is also the mirror a ``KeyedWrapped`` snapshots (``apply``,
+    ``snapshot``), so a keyed engine holds its elements in one pair of
+    lists; ``HierarchyLis`` reads positions from its top engine's.
+    """
 
     __slots__ = ("keys", "values", "ctx", "_dirty", "_lis")
 
@@ -137,6 +148,33 @@ class KeyedNaive:
     def leaf_elements(self) -> int:
         return len(self.keys)
 
+    # -- mirror protocol -----------------------------------------------------
+
+    @property
+    def meter(self) -> WorkMeter:
+        return self.ctx.meter
+
+    def apply(self, token) -> None:
+        """One (kind, key, value) operation, charged at the length before it."""
+        kind, key, value = token
+        i = bisect_left(self.keys, key)
+        self.ctx.meter.ticks += max(1, len(self.keys).bit_length())
+        if kind == INSERT:
+            self.keys.insert(i, key)
+            self.values.insert(i, value)
+        else:
+            self.keys.pop(i)
+            self.values.pop(i)
+        self._dirty = True
+
+    def snapshot(self) -> tuple[list, list]:
+        self.ctx.meter.ticks += len(self.keys)
+        return (list(self.keys), list(self.values))
+
+    @staticmethod
+    def snapshot_len(snap) -> int:
+        return len(snap[0])
+
 
 class KeyedNaiveBlock(GeneratorBlock):
     """Exact block generation used when a snapshot is below the cutoff."""
@@ -177,38 +215,6 @@ class KeyedNaiveBlock(GeneratorBlock):
         return len(self.inner)
 
 
-class KeyedListMirror:
-    """Sorted key/value lists mirroring the live array for snapshotting."""
-
-    def __init__(self, meter: WorkMeter, keys: list = (), values: list = ()) -> None:
-        self.meter = meter
-        self.keys = list(keys)
-        self.values = list(values)
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def apply(self, token) -> None:
-        kind, key, value = token
-        i = bisect_left(self.keys, key)
-        self.meter.ticks += max(1, len(self.keys).bit_length())
-        if kind == INSERT:
-            self.keys.insert(i, key)
-            self.values.insert(i, value)
-        else:
-            self.keys.pop(i)
-            self.values.pop(i)
-        return None
-
-    def snapshot(self):
-        self.meter.ticks += len(self.keys)
-        return (list(self.keys), list(self.values))
-
-    @staticmethod
-    def snapshot_len(snap) -> int:
-        return len(snap[0])
-
-
 class GridBlock(GeneratorBlock):
     """One grid-packing generation: value thresholds fix rows, key ranges fix
     columns, each committed segment owns a child estimator over its elements.
@@ -222,13 +228,11 @@ class GridBlock(GeneratorBlock):
     """
 
     def __init__(self, snap: tuple[list, list], level: int,
-                 ctx: EngineContext,
-                 child_factory: Callable[[int, list, list], Any]) -> None:
+                 ctx: EngineContext) -> None:
         super().__init__()
         self.snap = snap
         self.level = level
         self.ctx = ctx
-        self.child_factory = child_factory
         n = len(snap[0])
         self.n0 = n
         if ctx.m_override is not None:
@@ -309,8 +313,8 @@ class GridBlock(GeneratorBlock):
         yield
         self.children = []
         for sid in range(len(self.grid.segments)):
-            self.children.append(
-                self.child_factory(self.level - 1, seed_keys[sid], seed_vals[sid]))
+            self.children.append(make_keyed_engine(
+                self.level - 1, seed_keys[sid], seed_vals[sid], self.ctx))
             yield
 
     # -- routing -------------------------------------------------------------
@@ -389,26 +393,23 @@ class GridBlock(GeneratorBlock):
 
 
 class KeyedWrapped:
-    """Keyed estimator running GridBlock / KeyedNaiveBlock generations."""
+    """Keyed estimator running GridBlock / KeyedNaiveBlock generations over
+    a ``KeyedNaive`` mirror of its elements."""
 
     def __init__(self, level: int, keys: list, values: list,
-                 ctx: EngineContext,
-                 child_factory: Optional[Callable] = None) -> None:
+                 ctx: EngineContext) -> None:
         self.ctx = ctx
         self.level = level
-        self._child_factory = child_factory or (
-            lambda lvl, k, v: make_keyed_engine(lvl, k, v, ctx))
-        mirror = KeyedListMirror(ctx.meter, keys, values)
+        # the factory is a bound method, so the scheduler refers back to
+        # this estimator: the two form a reference cycle, and retired
+        # engines are freed by the cyclic collector rather than inline
+        # (inline freeing measured slower on partitioning, for less memory)
+        self._wrapped = wrap(self._block, KeyedNaive(keys, values, ctx))
 
-        def factory(snap):
-            if KeyedListMirror.snapshot_len(snap) < ctx.cutoff or level < 1:
-                return KeyedNaiveBlock(snap, ctx)
-            return GridBlock(snap, level, ctx, self._child_factory)
-
-        self._wrapped = wrap(factory, mirror)
-
-    def __len__(self) -> int:
-        return len(self._wrapped.mirror)
+    def _block(self, snap: tuple[list, list]) -> GeneratorBlock:
+        if _exact(self.level, KeyedNaive.snapshot_len(snap), self.ctx):
+            return KeyedNaiveBlock(snap, self.ctx)
+        return GridBlock(snap, self.level, self.ctx)
 
     def insert(self, key, value) -> None:
         self._wrapped.apply((INSERT, key, value))
@@ -428,15 +429,11 @@ class KeyedWrapped:
     def leaf_elements(self) -> int:
         return self._wrapped.active.leaf_elements()
 
-    @property
-    def max_live_instances(self) -> int:
-        return self._wrapped.max_live_instances
-
 
 def make_keyed_engine(level: int, keys: list, values: list, ctx: EngineContext):
-    """Child factory: exact below the cutoff or at recursion depth 0,
-    otherwise a wrapped grid level one step shallower."""
-    if level < 1 or len(keys) < ctx.cutoff:
+    """A grid child ``level`` steps above the exact leaves: exact by the rule
+    of ``_exact``, otherwise a wrapped grid level."""
+    if _exact(level, len(keys), ctx):
         return KeyedNaive(keys, values, ctx)
     return KeyedWrapped(level, keys, values, ctx)
 
@@ -674,112 +671,59 @@ class SqrtLis(_PositionalBase):
         return self._wrapped.generations_continued
 
 
-class GridLis(_PositionalBase):
-    """A single grid-packing level with exact children, block-wrapped."""
+class HierarchyLis(_PositionalBase):
+    """Recursive grid hierarchy: depth ceil(4/eps), kappa = eps/2.
 
-    def __init__(self, kappa: float, level: int = 1,
-                 meter: Optional[WorkMeter] = None,
-                 cutoff: int = BASE_CUTOFF,
-                 m_override: Optional[int] = None,
-                 fault_skip_segment: bool = False) -> None:
-        if not 0.0 < kappa < 1.0:
-            raise ValueError("kappa must lie in (0, 1)")
+    Positions become order keys here: an insert takes a fresh key between
+    its neighbours', a delete the key at its position, both read from the
+    top keyed engine's element lists.
+    """
+
+    def __init__(self, epsilon: float, meter: Optional[WorkMeter] = None,
+                 cutoff: int = BASE_CUTOFF) -> None:
+        if not 0.0 < epsilon < 1.0:
+            raise ValueError("epsilon must lie in (0, 1)")
+        self.epsilon = epsilon
+        self._build(math.ceil(4.0 / epsilon), epsilon / 2.0, meter, cutoff)
+
+    def _build(self, depth: int, kappa: float, meter: Optional[WorkMeter],
+               cutoff: int, m_override: Optional[int] = None) -> None:
         super().__init__(meter)
+        self.depth = depth
+        self.kappa = kappa
         self.ctx = EngineContext(kappa, self.meter, cutoff=cutoff,
-                                 fault_skip_segment=fault_skip_segment,
                                  m_override=m_override)
-        # children of the single grid level stay exact
-        exact_child = lambda lvl, k, v: KeyedNaive(k, v, self.ctx)
-        self._keyed = _KeyedFrontend(level, self.ctx, child_factory=exact_child)
+        self._keyed = KeyedWrapped(depth, [], [], self.ctx)
+        self._elements: KeyedNaive = self._keyed._wrapped.mirror
 
     def apply(self, op: Operation) -> None:
         self._check(op)
-        removed = self._keyed.apply(op)
-        self._note(op, removed)
+        p = op.position
+        keys = self._elements.keys
+        if op.kind == INSERT:
+            if p > len(keys):
+                key = _key_step(keys[-1], 1) if keys else FIRST_KEY
+            elif p == 1:
+                key = _key_step(keys[0], -1)
+            else:
+                key = _key_between(keys[p - 2], keys[p - 1])
+            self._keyed.insert(key, op.value)
+            self._note(op)
+        else:
+            value = self._elements.values[p - 1]
+            self._keyed.delete(keys[p - 1], value)
+            self._note(op, value)
 
     def query(self) -> int:
         return self._keyed.query()
 
     def extract(self) -> list[tuple[int, int]]:
-        return self._keyed.extract()
+        keys = self._elements.keys
+        return [(bisect_left(keys, key) + 1, value)
+                for key, value in self._keyed.extract()]
 
     def describe(self) -> list[tuple[int, int]]:
-        return self._keyed.engine.describe()
-
-
-class _KeyedFrontend:
-    """Position-to-key translation in front of a keyed engine stack."""
-
-    def __init__(self, level: int, ctx: EngineContext,
-                 child_factory: Optional[Callable] = None) -> None:
-        self.ctx = ctx
-        self.keys: list = []
-        self.values: list = []
-        self.engine = KeyedWrapped(level, [], [], ctx, child_factory=child_factory)
-
-    def apply(self, op: Operation):
-        if op.kind == INSERT:
-            p = op.position
-            lo = self.keys[p - 2] if p >= 2 else None
-            hi = self.keys[p - 1] if p - 1 < len(self.keys) else None
-            if lo is None and hi is None:
-                key = FIRST_KEY
-            elif lo is None:
-                key = _key_step(hi, -1)
-            elif hi is None:
-                key = _key_step(lo, 1)
-            else:
-                key = _key_between(lo, hi)
-            self.keys.insert(p - 1, key)
-            self.values.insert(p - 1, op.value)
-            self.engine.insert(key, op.value)
-            return None
-        p = op.position
-        key = self.keys.pop(p - 1)
-        value = self.values.pop(p - 1)
-        self.engine.delete(key, value)
-        return value
-
-    def query(self) -> int:
-        return self.engine.query()
-
-    def extract(self) -> list[tuple[int, int]]:
-        out = []
-        for key, value in self.engine.extract():
-            pos = bisect_left(self.keys, key) + 1
-            out.append((pos, value))
-        return out
-
-
-class HierarchyLis(_PositionalBase):
-    """Recursive grid hierarchy: depth ceil(4/eps), kappa = eps/2."""
-
-    def __init__(self, epsilon: float, meter: Optional[WorkMeter] = None,
-                 cutoff: int = BASE_CUTOFF,
-                 fault_skip_segment: bool = False) -> None:
-        if not 0.0 < epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
-        super().__init__(meter)
-        self.epsilon = epsilon
-        self.depth = math.ceil(4.0 / epsilon)
-        self.kappa = epsilon / 2.0
-        self.ctx = EngineContext(self.kappa, self.meter, cutoff=cutoff,
-                                 fault_skip_segment=fault_skip_segment)
-        self._front = _KeyedFrontend(self.depth, self.ctx)
-
-    def apply(self, op: Operation) -> None:
-        self._check(op)
-        removed = self._front.apply(op)
-        self._note(op, removed)
-
-    def query(self) -> int:
-        return self._front.query()
-
-    def extract(self) -> list[tuple[int, int]]:
-        return self._front.extract()
-
-    def describe(self) -> list[tuple[int, int]]:
-        return self._front.engine.describe()
+        return self._keyed.describe()
 
     @property
     def touched_segments(self) -> int:
@@ -789,7 +733,18 @@ class HierarchyLis(_PositionalBase):
     def leaf_elements(self) -> int:
         """Elements held by the exact leaves under the active generations,
         counting each copy; counted by a walk on every read."""
-        return self._front.engine.leaf_elements()
+        return self._keyed.leaf_elements()
+
+
+class GridLis(HierarchyLis):
+    """A single grid-packing level at ``kappa`` with exact children."""
+
+    def __init__(self, kappa: float, meter: Optional[WorkMeter] = None,
+                 cutoff: int = BASE_CUTOFF,
+                 m_override: Optional[int] = None) -> None:
+        if not 0.0 < kappa < 1.0:
+            raise ValueError("kappa must lie in (0, 1)")
+        self._build(1, kappa, meter, cutoff, m_override)
 
 
 # -- engine constructors -------------------------------------------------
@@ -809,11 +764,10 @@ def hierarchy_engine(epsilon: float, meter: Optional[WorkMeter] = None,
     return HierarchyLis(epsilon, meter=meter, cutoff=cutoff)
 
 
-def grid_engine(kappa: float, level: int = 1, meter: Optional[WorkMeter] = None,
+def grid_engine(kappa: float, meter: Optional[WorkMeter] = None,
                 cutoff: int = BASE_CUTOFF,
                 m_override: Optional[int] = None) -> GridLis:
-    return GridLis(kappa, level=level, meter=meter, cutoff=cutoff,
-                   m_override=m_override)
+    return GridLis(kappa, meter=meter, cutoff=cutoff, m_override=m_override)
 
 
 def extract(engine) -> list[tuple[int, int]]:

@@ -45,8 +45,6 @@ class ExactDynamicLis:
 
     def seed_steps(self, values: list) -> Iterator[None]:
         """Resumable bulk construction, one chunk of elements per yield."""
-        from bisect import bisect_left
-
         n = len(values)
         if n == 0:
             return

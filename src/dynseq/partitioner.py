@@ -25,10 +25,12 @@ DECREASING = "-"
 @dataclass
 class Partition:
     """Disjoint covering parts of 1-based input indices, each strictly
-    monotone in its stated direction."""
+    monotone in its stated direction; ``ops_issued`` counts the engine
+    operations the dynamic route spent."""
 
     parts: list[list[int]] = field(default_factory=list)
     directions: list[str] = field(default_factory=list)
+    ops_issued: int = 0
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -78,8 +80,8 @@ def partition_baseline(values: Sequence[int]) -> Partition:
 
 def partition_dynamic(values: Sequence[int], epsilon: float,
                       meter: Optional[WorkMeter] = None) -> Partition:
-    """Approximate route via two dynamic LIS engines; also returns the
-    engine-operation count through the .ops_issued attribute."""
+    """Approximate route via two dynamic LIS engines; the result's
+    ``ops_issued`` is the engine-operation count."""
     n = len(values)
     if len(set(values)) != n:
         raise ValueError("values must be distinct")

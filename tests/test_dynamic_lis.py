@@ -181,7 +181,7 @@ def test_sqrt_continues_exact_generations_across_branch_flips():
 
 def test_grid_engine_tracks_oracle_within_factor():
     for m in (4, 8):
-        eng = grid_engine(0.5, level=1, cutoff=24, m_override=m)
+        eng = grid_engine(0.5, cutoff=24, m_override=m)
         worst = 1.0
 
         def check(step, engine, arr):
@@ -203,14 +203,13 @@ def test_grid_block_equal_split_small():
     # a snapshot of 27 elements at the first recursion level: m = 3 and
     # every row/column starts with 9 elements
     meter = WorkMeter()
-    from dynseq.dynamic_lis import EngineContext, KeyedNaive
+    from dynseq.dynamic_lis import EngineContext
 
     ctx = EngineContext(0.5, meter)
     rng = random.Random(5)
     values = rng.sample(range(1000), 27)
     keys = [i * 100 for i in range(27)]
-    blk = GridBlock((keys, values), 1, ctx,
-                    lambda lvl, k, v: KeyedNaive(k, v, ctx))
+    blk = GridBlock((keys, values), 1, ctx)
     while not blk.preprocess_step(64):
         pass
     assert blk.m == 3
@@ -225,14 +224,13 @@ def test_grid_block_equal_split_small():
 
 def test_insert_max_at_end_routes_to_top_corner():
     meter = WorkMeter()
-    from dynseq.dynamic_lis import EngineContext, KeyedNaive
+    from dynseq.dynamic_lis import EngineContext
 
     ctx = EngineContext(0.5, meter)
     rng = random.Random(6)
     values = rng.sample(range(1000), 27)
     keys = [i * 100 for i in range(27)]
-    blk = GridBlock((keys, values), 1, ctx,
-                    lambda lvl, k, v: KeyedNaive(k, v, ctx))
+    blk = GridBlock((keys, values), 1, ctx)
     while not blk.preprocess_step(64):
         pass
     row, col = blk._locate(keys[-1] + 50, 5000)
@@ -301,15 +299,14 @@ def test_column_assignment_matches_recount():
     # recomputing the column from the mirror's key order
     from bisect import bisect_left, bisect_right
 
-    from dynseq.dynamic_lis import EngineContext, KeyedNaive
+    from dynseq.dynamic_lis import EngineContext
 
     meter = WorkMeter()
     ctx = EngineContext(0.5, meter)
     rng = random.Random(8)
     values = rng.sample(range(100000), 64)
     keys = [i * 1000 for i in range(64)]
-    blk = GridBlock((keys, values), 1, ctx,
-                    lambda lvl, k, v: KeyedNaive(k, v, ctx))
+    blk = GridBlock((keys, values), 1, ctx)
     while not blk.preprocess_step(64):
         pass
     live = sorted(keys)
@@ -349,16 +346,15 @@ def check_keys(keys):
 def test_frontend_keys_are_ordered_byte_strings():
     eng = hierarchy_engine(0.5)
     drive(eng, 1500, 21)
-    check_keys(eng._front.keys)
+    check_keys(eng._elements.keys)
     for pos in (1, 2):
         eng = hierarchy_engine(0.5)
         rng = random.Random(pos)
         for i, v in enumerate(rng.sample(range(10 ** 6), 2000)):
             eng.apply(ins(min(pos, i + 1), v))
-        check_keys(eng._front.keys)
-        assert eng._front.engine._wrapped.mirror.keys == eng._front.keys
+        check_keys(eng._elements.keys)
     # 1999 inserts at position 2 halve one gap each time: 8 bits per byte
-    assert max(map(len, eng._front.keys)) <= KEY_WHOLE + 1999 // 8 + 1
+    assert max(map(len, eng._elements.keys)) <= KEY_WHOLE + 1999 // 8 + 1
 
 
 frontend_keys = st.builds(
@@ -424,7 +420,7 @@ def test_grid_block_answer_equals_full_recompute(stream):
     depth = 0
     for op in items:
         eng.apply(op)
-        assert checked_score(eng._front.engine) == eng.query()
+        assert checked_score(eng._keyed) == eng.query()
         depth = max(depth, len(eng.describe()))
     assert depth >= 3
 
@@ -477,6 +473,32 @@ def test_leaf_elements_counts_every_copy():
         else:
             leaves.append(est.keys)
 
-    walk(eng._front.engine)
+    walk(eng._keyed)
     assert eng.leaf_elements == sum(map(len, leaves)) > 2 * len(eng)
-    assert {k for leaf in leaves for k in leaf} == set(eng._front.keys)
+    assert {k for leaf in leaves for k in leaf} == set(eng._elements.keys)
+
+
+@pytest.mark.parametrize("stream", ["uniform", "cursor"])
+@pytest.mark.parametrize("make", [
+    lambda: hierarchy_engine(0.5, cutoff=16),
+    lambda: grid_engine(0.5, cutoff=24, m_override=3),
+], ids=["hier", "grid"])
+def test_top_mirror_is_the_array(make, stream):
+    """The top engine's element lists are the only copy of the array the
+    frontend reads: after every operation their values are the array, and
+    witness positions read from their keys name the right values."""
+    items = (generate_stream("uniform", 500, 9) if stream == "uniform"
+             else cursor_stream(500, 9))
+    eng = make()
+    shadow = []
+    for op in items:
+        eng.apply(op)
+        if op.kind == INSERT:
+            shadow.insert(op.position - 1, op.value)
+        else:
+            shadow.pop(op.position - 1)
+        assert eng._elements.values == shadow
+        for pos, value in eng.extract():
+            assert shadow[pos - 1] == value
+    # the stream crossed warm-ups and handovers of the top engine
+    assert eng._keyed._wrapped.generations_rebuilt > 2
