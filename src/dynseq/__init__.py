@@ -3,8 +3,7 @@ monotone partitioning, with work-unit instrumentation throughout."""
 
 from .array_packing import ArrayPacking, ArraySegment, build_array_packing
 from .block_scheduler import (BlockAlgorithm, ContractViolationError,
-                              NullMirror, PersistentMirror, WrappedEstimator,
-                              wrap)
+                              PersistentMirror, WrappedEstimator, wrap)
 from .exact_lis import ExactDynamicLis
 from .classic import (OracleScaleError, brute_dtm, brute_lis, levels,
                       lis_extract, lis_length, weighted_dtm, weighted_his)
@@ -32,7 +31,7 @@ __all__ = [
     "ContractViolationError", "CoverContractError", "DeadHandleError",
     "DtmDynamic", "DuplicateValueError", "GridLis", "GridPacking",
     "GridSegment", "HierarchyLis", "IndexedSeq", "InsertOnlyError",
-    "InversionMatching", "LisPlus", "NaiveLis", "NullMirror", "Operation",
+    "InversionMatching", "LisPlus", "NaiveLis", "Operation",
     "OracleScaleError", "Partition", "PersistentMirror", "PositionError",
     "SqrtLis", "WorkMeter", "WrappedEstimator", "brute_dtm", "brute_lis",
     "build_array_packing", "build_grid_packing", "dele",

@@ -17,6 +17,13 @@ handover with no second instance alive.
 
 Queries are always answered by the active, fully preprocessed block, so any
 approximation guarantee of the block algorithm carries over unchanged.
+
+The scheduler reads the array through a mirror, which offers ``meter`` (the
+work meter), ``len``, ``apply(op) -> ctx`` (mutate, and return a context
+handed on to the blocks with the operation) and ``snapshot()`` (what the
+factory builds a successor from).  A mirror may be the engine's own live
+state, its own snapshot, when every block reads that state only while it
+is built or answers from it directly.
 """
 
 from __future__ import annotations
@@ -184,32 +191,6 @@ class PersistentMirror:
         return root.size if root else 0
 
 
-class NullMirror:
-    """For block algorithms that snapshot shared state of their own."""
-
-    def __init__(self, meter: WorkMeter, seed: int = 0) -> None:
-        self.meter = meter
-        self._len = 0
-
-    def __len__(self) -> int:
-        return self._len
-
-    def apply(self, op: Operation) -> Any:
-        self._len += 1 if op.kind == INSERT else -1
-        return None
-
-    def snapshot(self) -> Any:
-        return None
-
-    @staticmethod
-    def iter_snapshot(snap) -> Iterator[Any]:
-        return iter(())
-
-    @staticmethod
-    def snapshot_len(snap) -> int:
-        return 0
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -220,8 +201,8 @@ SYNC_BASE_CAP = 20    # below this capacity, build the successor synchronously
 class WrappedEstimator:
     """Dynamic estimator built from a block-algorithm factory.
 
-    ``factory(snapshot, mirror_cls)`` must return a fresh BlockAlgorithm for
-    the given frozen snapshot.  At most two instances are ever alive.
+    ``factory(snapshot)`` must return a fresh BlockAlgorithm for the
+    mirror's snapshot.  At most two instances are ever alive.
     ``generations_rebuilt`` and ``generations_continued`` count the
     handovers to a successor built by the factory and to a continuation.
     """
@@ -263,7 +244,7 @@ class WrappedEstimator:
         inst = self.factory(snap)
         self._alive(+1)
         g = self._active.capacity()
-        if g < SYNC_BASE_CAP or self.mirror.snapshot_len(snap) < SYNC_BASE_LEN:
+        if g < SYNC_BASE_CAP or len(self.mirror) < SYNC_BASE_LEN:
             # degenerate/tiny generations: finish preprocessing on the spot
             while not inst.preprocess_step(max(64, inst.work_estimate())):
                 pass
@@ -343,9 +324,6 @@ class WrappedEstimator:
 
     def extract(self):
         return self._active.extract()
-
-    def __len__(self) -> int:
-        return len(self.mirror)
 
 
 def wrap(factory: Callable[[Any], BlockAlgorithm], mirror) -> WrappedEstimator:

@@ -30,7 +30,7 @@ from bisect import bisect_left
 from operator import attrgetter, itemgetter
 from typing import Optional, Sequence
 
-from .block_scheduler import GeneratorBlock, NullMirror, wrap
+from .block_scheduler import GeneratorBlock, wrap
 from .classic import lis_length, weighted_his
 from .indexed_sequence import INSERT, IndexedSeq, Node, Operation, Seq
 from .work import WorkMeter
@@ -52,6 +52,9 @@ class InversionMatching:
     probes: its value predecessor and successor among unmatched elements.
     Every live element is either unmatched or matched, never both, so the
     pairing dict holds the matched set, live, with no scan of the array.
+
+    It is also the DTM engine's mirror: a generation reads the live
+    matching once, when it is built, so it is its own snapshot.
     """
 
     def __init__(self, meter: Optional[WorkMeter] = None, seed: int = 0) -> None:
@@ -81,6 +84,9 @@ class InversionMatching:
             self.s_count -= 1
             self._place(partner)
         return h.value
+
+    def snapshot(self) -> "InversionMatching":
+        return self
 
     def _place(self, h) -> None:
         """Match h against the unmatched set or add it there."""
@@ -285,6 +291,7 @@ class _DtmBlock(GeneratorBlock):
         return self._cap
 
     def work_estimate(self) -> int:
+        # the one yield below; zero would give a paced successor no quantum
         return 1
 
     def preprocess_gen(self):
@@ -313,14 +320,13 @@ class DtmDynamic:
         self.epsilon = epsilon
         self.meter = meter if meter is not None else WorkMeter()
         self.matching = InversionMatching(meter=self.meter, seed=seed)
-        self._wrapped = wrap(lambda snap: _DtmBlock(self.matching, epsilon),
-                             NullMirror(self.meter))
+        self._wrapped = wrap(lambda matching: _DtmBlock(matching, epsilon),
+                             self.matching)
 
     def __len__(self) -> int:
         return len(self.matching)
 
     def apply(self, op: Operation) -> None:
-        self.matching.apply(op)
         self._wrapped.apply(op)
 
     def query(self) -> int:

@@ -26,14 +26,15 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from itertools import islice
 from typing import Any, Optional
 
-from .block_scheduler import (GeneratorBlock, PersistentMirror,
-                              WrappedEstimator, wrap)
+from .block_scheduler import (BlockAlgorithm, GeneratorBlock,
+                              PersistentMirror, wrap)
 from .classic import lis_extract, lis_length
 from .exact_lis import ExactDynamicLis
 from .grid_packing import GridPacking
-from .indexed_sequence import DELETE, INSERT, IndexedSeq, Operation, _check_op
+from .indexed_sequence import DELETE, INSERT, Operation, _check_op
 from .work import WorkMeter
 
 KEY_WHOLE = 8
@@ -101,7 +102,8 @@ class KeyedNaive:
 
     It is also the mirror a ``KeyedWrapped`` snapshots (``apply``,
     ``snapshot``), so a keyed engine holds its elements in one pair of
-    lists; ``HierarchyLis`` reads positions from its top engine's.
+    lists: its exact generations answer from them, and ``HierarchyLis``
+    reads positions from its top engine's.
     """
 
     __slots__ = ("keys", "values", "ctx", "_dirty", "_lis")
@@ -171,36 +173,30 @@ class KeyedNaive:
         self.ctx.meter.ticks += len(self.keys)
         return (list(self.keys), list(self.values))
 
-    @staticmethod
-    def snapshot_len(snap) -> int:
-        return len(snap[0])
 
+class KeyedNaiveBlock(BlockAlgorithm):
+    """Exact block generation used when a snapshot is below the cutoff.
 
-class KeyedNaiveBlock(GeneratorBlock):
-    """Exact block generation used when a snapshot is below the cutoff."""
+    It answers from its engine's mirror, ``inner``: the active generation
+    has applied every operation the mirror has, and a successor is not
+    queried before its handover.  So it preprocesses and replays nothing.
+    """
 
-    def __init__(self, snap: tuple[list, list], ctx: EngineContext) -> None:
-        super().__init__()
-        keys, values = snap
-        self.inner = KeyedNaive(keys, values, ctx)
-        self._cap = max(16, (len(keys) + 1) // 2)
+    def __init__(self, mirror: KeyedNaive) -> None:
+        self.inner = mirror
+        self._cap = max(16, (len(mirror) + 1) // 2)
 
     def capacity(self) -> int:
         return self._cap
 
     def work_estimate(self) -> int:
-        return max(16, len(self.inner))
+        return 0
 
-    def preprocess_gen(self):
-        self.inner.query()
-        yield
+    def preprocess_step(self, budget: int) -> bool:
+        return True
 
     def apply(self, token, ctx) -> None:
-        kind, key, value = token
-        if kind == INSERT:
-            self.inner.insert(key, value)
-        else:
-            self.inner.delete(key, value)
+        pass
 
     def query(self) -> int:
         return self.inner.query()
@@ -400,15 +396,16 @@ class KeyedWrapped:
                  ctx: EngineContext) -> None:
         self.ctx = ctx
         self.level = level
+        self.mirror = KeyedNaive(keys, values, ctx)
         # the factory is a bound method, so the scheduler refers back to
         # this estimator: the two form a reference cycle, and retired
         # engines are freed by the cyclic collector rather than inline
         # (inline freeing measured slower on partitioning, for less memory)
-        self._wrapped = wrap(self._block, KeyedNaive(keys, values, ctx))
+        self._wrapped = wrap(self._block, self.mirror)
 
-    def _block(self, snap: tuple[list, list]) -> GeneratorBlock:
-        if _exact(self.level, KeyedNaive.snapshot_len(snap), self.ctx):
-            return KeyedNaiveBlock(snap, self.ctx)
+    def _block(self, snap: tuple[list, list]) -> BlockAlgorithm:
+        if _exact(self.level, len(self.mirror), self.ctx):
+            return KeyedNaiveBlock(self.mirror)
         return GridBlock(snap, self.level, self.ctx)
 
     def insert(self, key, value) -> None:
@@ -507,11 +504,12 @@ class SqrtBlock(GeneratorBlock):
     otherwise run the exact level structure live, whose update cost stays
     near sqrt(n) because the LIS remains small for the whole generation.
 
-    Preprocessing makes one patience pass over the snapshot with a
-    back-pointer per element, yielding every 64 elements; the pass gives
-    both r and, on the frozen branch, the witness (walked back from the last
-    pile).  ``work_estimate`` counts those yields and the ones of the branch
-    build after the pass.
+    Preprocessing makes one patience pass over the snapshot with a pile and
+    a back-pointer per element, yielding every 64 elements.  The frozen
+    branch walks the witness back from the last pile and keeps its values,
+    distinct among live elements: a delete pops the one the mirror removed,
+    and ``extract`` places them by one walk of the live mirror.  The exact
+    branch seeds its levels from the piles.
 
     An exact generation whose live LIS at the next snapshot is still below
     that snapshot's threshold continues on the same level structure
@@ -520,11 +518,12 @@ class SqrtBlock(GeneratorBlock):
     the snapshot.
     """
 
-    def __init__(self, snap, epsilon: float, meter: WorkMeter, seed: int = 0) -> None:
+    def __init__(self, snap, epsilon: float, mirror: PersistentMirror,
+                 seed: int = 0) -> None:
         super().__init__()
         self.snap = snap
         self.epsilon = epsilon
-        self.meter = meter
+        self.mirror = mirror
         self.seed = seed
         self.n0 = PersistentMirror.snapshot_len(snap)
         self._cap = max(1, math.isqrt(self.n0))
@@ -535,21 +534,21 @@ class SqrtBlock(GeneratorBlock):
         self.i = 0
         self.r0 = 0
         self.exact: Optional[ExactDynamicLis] = None
-        self.backing: Optional[IndexedSeq] = None
-        self.witness: dict = {}   # handles in witness order, O(1) removal
+        self.witness: dict = {}   # values in witness order, O(1) removal
 
     def capacity(self) -> int:
         return self._cap
 
     def work_estimate(self) -> int:
-        # the pass and either branch's handle walk yield n0 // 64 times
-        # each; the frozen branch's witness walk at most n0 // 64 times, the
-        # exact branch's patience n0 // 64 times and its levels r < tau
-        return 3 * (self.n0 // 64) + self.tau + 1
+        # the pass yields n0 // 64 times; then the frozen branch's witness
+        # walk at most r0 // 64 <= n0 // 64 times, or the exact branch's
+        # handle walk n0 // 64 times and its levels r0 < tau times
+        return 2 * (self.n0 // 64) + self.tau + 1
 
     def preprocess_gen(self):
-        meter = self.meter
+        meter = self.mirror.meter
         values: list = []
+        piles: list = []   # per element: its pile, 1-based
         tails: list = []   # top value of each patience pile
         tops: list = []    # its index
         back: list = []    # per element: the top index of the previous pile
@@ -557,6 +556,7 @@ class SqrtBlock(GeneratorBlock):
             i = bisect_left(tails, v)
             meter.ticks += 1 + max(1, len(tails).bit_length())
             back.append(tops[i - 1] if i else -1)
+            piles.append(i + 1)
             if i == len(tails):
                 tails.append(v)
                 tops.append(len(values))
@@ -570,31 +570,25 @@ class SqrtBlock(GeneratorBlock):
         self.r0 = r
         if r >= self.tau:
             self.branch = "frozen"
-            idxs = []
+            chain = []
             j = tops[-1] if tops else -1
             while j >= 0:
-                idxs.append(j)
+                chain.append(values[j])
                 j = back[j]
                 meter.ticks += 1
-                if len(idxs) % 64 == 0:
+                if len(chain) % 64 == 0:
                     yield
-            self.backing = IndexedSeq(values, meter=meter, seed=self.seed)
-            handles = []
-            for node in self.backing._seq.nodes():
-                handles.append(node)
-                if len(handles) % 64 == 0:
-                    yield
-            self.witness = dict.fromkeys(handles[i] for i in reversed(idxs))
+            self.witness = dict.fromkeys(reversed(chain))
         else:
             self.branch = "exact"
             self.exact = ExactDynamicLis(meter=meter, seed=self.seed)
-            for _ in self.exact.seed_steps(values):
+            for _ in self.exact.seed_steps(values, piles):
                 yield
 
     def continuation(self, snap) -> Optional["SqrtBlock"]:
         if self.branch != "exact":
             return None
-        nxt = SqrtBlock(snap, self.epsilon, self.meter, seed=self.seed)
+        nxt = SqrtBlock(snap, self.epsilon, self.mirror, seed=self.seed)
         if self.exact.lis() >= nxt.tau:
             return None
         nxt.branch = "exact"
@@ -605,15 +599,12 @@ class SqrtBlock(GeneratorBlock):
     def apply(self, op: Operation, ctx) -> None:
         self.i += 1
         if self.branch == "frozen":
-            if op.kind == INSERT:
-                self.backing.insert(op.position, op.value)
-            else:
-                self.witness.pop(self.backing._pop(op), None)
+            if op.kind != INSERT:
+                self.witness.pop(ctx, None)
+        elif op.kind == INSERT:
+            self.exact.insert(op.position, op.value)
         else:
-            if op.kind == INSERT:
-                self.exact.insert(op.position, op.value)
-            else:
-                self.exact.delete(op.position)
+            self.exact.delete(op.position)
 
     def query(self) -> int:
         if self.branch == "frozen":
@@ -621,15 +612,19 @@ class SqrtBlock(GeneratorBlock):
         return self.exact.lis()
 
     def extract(self) -> list[tuple[int, int]]:
-        if self.branch == "frozen":
-            want = self.r0 - self.i
-            out = []
-            for h in self.witness:
-                if len(out) == want:
-                    break
-                out.append((self.backing.position_of(h), h.value))
-            return out
-        return self.exact.extract()
+        if self.branch != "frozen":
+            return self.exact.extract()
+        want = self.r0 - self.i
+        first = set(islice(self.witness, want))
+        live = PersistentMirror.iter_snapshot(self.mirror.snapshot())
+        out: list[tuple[int, int]] = []
+        for pos, v in enumerate(live, 1):
+            if len(out) == want:
+                break
+            self.mirror.meter.ticks += 1
+            if v in first:
+                out.append((pos, v))
+        return out
 
 
 class SqrtLis(_PositionalBase):
@@ -643,7 +638,7 @@ class SqrtLis(_PositionalBase):
         self.epsilon = epsilon
         mirror = PersistentMirror(self.meter, seed=seed)
         self._wrapped = wrap(
-            lambda snap: SqrtBlock(snap, epsilon, self.meter, seed=seed), mirror)
+            lambda snap: SqrtBlock(snap, epsilon, mirror, seed=seed), mirror)
 
     def apply(self, op: Operation) -> None:
         self._check(op)
@@ -694,7 +689,7 @@ class HierarchyLis(_PositionalBase):
         self.ctx = EngineContext(kappa, self.meter, cutoff=cutoff,
                                  m_override=m_override)
         self._keyed = KeyedWrapped(depth, [], [], self.ctx)
-        self._elements: KeyedNaive = self._keyed._wrapped.mirror
+        self._elements = self._keyed.mirror
 
     def apply(self, op: Operation) -> None:
         self._check(op)

@@ -25,6 +25,7 @@ import random
 from bisect import bisect_left, bisect_right
 from typing import Iterator, Optional
 
+from . import classic
 from .indexed_sequence import DELETE, IndexedSeq, Operation, Seq
 from .work import WorkMeter
 
@@ -40,35 +41,27 @@ class ExactDynamicLis:
         self.backing = IndexedSeq(meter=self.meter, seed=seed)
         self.levels: list[Seq] = []
         self.merge_fallbacks = 0
-        for _ in self.seed_steps(list(values)):
+        values = list(values)
+        piles = classic.levels(values)   # one patience pass, charged here
+        self.meter.ticks += len(values) * max(1, max(piles, default=0).bit_length())
+        for _ in self.seed_steps(values, piles):
             pass
 
-    def seed_steps(self, values: list) -> Iterator[None]:
-        """Resumable bulk construction, one chunk of elements per yield."""
+    def seed_steps(self, values: list, piles: list) -> Iterator[None]:
+        """Resumable bulk construction, one chunk of elements per yield,
+        from each element's 1-based patience pile (``classic.levels``),
+        which is its level."""
         n = len(values)
         if n == 0:
             return
         self.backing = IndexedSeq(values, meter=self.meter, seed=self._seed)
-        handles = []
-        for node in self.backing._seq.nodes():
-            handles.append(node)
-            if len(handles) % 64 == 0:
-                yield
-        self.meter.ticks += n
-        tails: list = []
-        groups: list[list] = []
-        for i, v in enumerate(values):
-            lo = bisect_left(tails, v)
-            self.meter.ticks += max(1, len(tails).bit_length())
-            if lo == len(tails):
-                tails.append(v)
-                groups.append([])
-            else:
-                tails[lo] = v
-            # index order means each level receives values in descending order
-            groups[lo].append((v, handles[i]))
+        groups: list[list] = [[] for _ in range(max(piles))]
+        # index order means each level receives values in descending order
+        for i, node in enumerate(self.backing._seq.nodes()):
+            groups[piles[i] - 1].append((node.value, node))
             if i % 64 == 63:
                 yield
+        self.meter.ticks += n
         for pairs in groups:
             self.levels.append(Seq.from_pairs(pairs, self.meter, self._rng))
             yield

@@ -6,12 +6,12 @@ import pytest
 from dynseq.block_scheduler import (ContractViolationError, GeneratorBlock,
                                     PersistentMirror, wrap)
 from dynseq.classic import lis_length
-from dynseq.dynamic_lis import sqrt_engine
+from dynseq.dynamic_lis import SqrtBlock, sqrt_engine
 from dynseq.exact_lis import ExactDynamicLis
 from dynseq.indexed_sequence import INSERT, IndexedSeq, dele, ins
 from dynseq.streams import generate_stream
 from dynseq.work import WorkMeter
-from oracles import fresh_values
+from oracles import fenwick_lis, fresh_values
 
 
 class RecomputeBlock(GeneratorBlock):
@@ -169,6 +169,92 @@ def test_frozen_branch_preprocessing_is_paced(seed):
         worst = max(worst, (meter.ticks - before) / envelope)
     assert eng.generations_rebuilt > 0
     assert worst <= 4.5, worst
+
+
+@pytest.mark.parametrize("kind", ["random", "sorted", "reverse"])
+def test_sqrt_work_estimate_covers_preprocessing(kind):
+    # the scheduler paces a successor by its estimate, and sees it finish
+    # one step after its last yield, so the estimate must exceed the yields
+    for n in (0, 1, 24, 63, 64, 65, 200, 1000, 3000):
+        values = list(range(n))
+        if kind == "random":
+            random.Random(n).shuffle(values)
+        elif kind == "reverse":
+            values.reverse()
+        mirror = PersistentMirror(WorkMeter(), seed=n)
+        for i, v in enumerate(values):
+            mirror.apply(ins(i + 1, v))
+        blk = SqrtBlock(mirror.snapshot(), 0.5, mirror)
+        yields = sum(1 for _ in blk.preprocess_gen())
+        assert blk.work_estimate() > yields, (n, blk.branch)
+        assert blk.query() == fenwick_lis(values)
+    # at n = 3000 a sorted snapshot freezes and the others run exact
+    assert blk.branch == ("frozen" if kind == "sorted" else "exact")
+
+
+@pytest.mark.parametrize("seed", range(1, 4))
+def test_frozen_witness_survives_deletes_and_reinserts(seed, monkeypatch):
+    # sorted appends keep the LIS above the threshold; deleting witness
+    # elements and re-inserting deleted values anywhere checks that a frozen
+    # generation keys its witness by live values alone
+    preprocessing: list = []   # the SqrtBlock whose preprocessing is running
+    owners: list = []          # the block that was preprocessing at each build
+    frozen_builds = 0
+    seq_init = IndexedSeq.__init__
+    preprocess_gen = SqrtBlock.preprocess_gen
+
+    def counted_init(self, *args, **kwargs):
+        if preprocessing:
+            owners.append(preprocessing[-1])
+        seq_init(self, *args, **kwargs)
+
+    def traced_gen(self):
+        nonlocal frozen_builds
+        inner = preprocess_gen(self)
+        while True:
+            preprocessing.append(self)
+            try:
+                next(inner)
+            except StopIteration:
+                frozen_builds += self.branch == "frozen"
+                return
+            finally:
+                preprocessing.pop()
+            yield
+
+    monkeypatch.setattr(IndexedSeq, "__init__", counted_init)
+    monkeypatch.setattr(SqrtBlock, "preprocess_gen", traced_gen)
+    rng = random.Random(seed)
+    eng = sqrt_engine(0.5, seed=seed)
+    shadow: list = []
+    deleted: list = []
+    top = 0
+    for _ in range(1500):
+        roll = rng.random()
+        if shadow and roll < 0.15:
+            pos, _ = rng.choice(eng.extract() or [(rng.randint(1, len(shadow)), 0)])
+            deleted.append(shadow[pos - 1])
+            op = dele(pos)
+        elif deleted and roll < 0.3:
+            op = ins(rng.randint(1, len(shadow) + 1),
+                     deleted.pop(rng.randrange(len(deleted))))
+        else:
+            top += rng.randint(1, 9)
+            op = ins(len(shadow) + 1, top)
+        eng.apply(op)
+        if op.kind == INSERT:
+            shadow.insert(op.position - 1, op.value)
+        else:
+            shadow.pop(op.position - 1)
+        est = eng.query()
+        witness = eng.extract()
+        assert len(witness) == est <= fenwick_lis(shadow) <= 1.5 * est
+        for (p, v), (q, w) in zip(witness, witness[1:]):
+            assert p < q and v < w
+        for p, v in witness:
+            assert shadow[p - 1] == v
+    assert frozen_builds > 3
+    assert not [blk for blk in owners if blk.branch == "frozen"]
 
 
 def test_mirror_snapshots_are_frozen():

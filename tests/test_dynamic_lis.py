@@ -502,3 +502,40 @@ def test_top_mirror_is_the_array(make, stream):
             assert shadow[pos - 1] == value
     # the stream crossed warm-ups and handovers of the top engine
     assert eng._keyed._wrapped.generations_rebuilt > 2
+
+
+def test_hierarchy_top_engine_crosses_the_cutoff_both_ways():
+    # grow past the cutoff, shrink below it, grow again: the top engine's
+    # generations go exact -> grid -> exact -> grid.  An exact one answers
+    # from the top mirror, so its estimate is the exact LIS.  A generation's
+    # kind is fixed at its snapshot, so a grid one still serves the steps
+    # just below the cutoff, and an exact one those just above it.
+    eng = hierarchy_engine(0.5, cutoff=48)
+    rng = random.Random(23)
+    used = set()
+    shadow = []
+    phases = []
+
+    def step(op):
+        eng.apply(op)
+        if op.kind == INSERT:
+            shadow.insert(op.position - 1, op.value)
+        else:
+            shadow.pop(op.position - 1)
+        active = eng._keyed._wrapped.active
+        phase = "exact" if isinstance(active, KeyedNaiveBlock) else "grid"
+        if not phases or phases[-1] != phase:
+            phases.append(phase)
+        if phase == "exact":
+            assert len(shadow) < 2 * 48
+            assert eng.query() == fenwick_lis(shadow)
+        witness_ok(eng, shadow)
+
+    for target in (150, 10, 150):
+        while len(shadow) != target:
+            if len(shadow) < target:
+                (v,) = fresh_values(rng, used)
+                step(ins(rng.randint(1, len(shadow) + 1), v))
+            else:
+                step(dele(rng.randint(1, len(shadow))))
+    assert phases == ["exact", "grid", "exact", "grid"]

@@ -194,21 +194,12 @@ def test_bench_reproducible():
 
 
 def test_bench_matches_committed_output():
-    # written by the per-command replay loops that the shared driver
-    # replaced; six edits since: the engine=dtm kind=reverse ratio_max,
-    # lowered by capping the DTM estimate at n, the work_p50/p95/max of the
-    # four engine=dtm lines, lowered by the O(k log n) exact_dtm, the
-    # work_p50/p95/max of the four engine=sqrt lines, lowered by exact
-    # generations continuing on the live level structure, and the
-    # work_p50/p95/max of the sqrt, dtm and lisplus lines, lowered by order
-    # labels replacing position lookups and by the paced one-pass sqrt
-    # preprocessing, and the work_p95 of the engine=hier sorted and sawtooth
-    # lines, lowered by grid queries that re-query only touched children,
-    # and the work_p50/p95/max of the engine=sqrt uniform, reverse and
-    # sawtooth lines and the work_p50/p95/max and ratio_max of the four
-    # engine=dtm lines, lowered by single-node deletes unlinking in place,
-    # a rank-space exact_dtm, one descent for both neighbours of a matching
-    # insert and DTM generations sized by the exact optimum
+    # regenerate with
+    #   PYTHONPATH=src python -c "from dynseq.cli import main; main()" bench \
+    #     --engines naive,sqrt,hier,dtm,lisplus --sizes 200 --seed 7 \
+    #     > tests/data/bench_sizes200_seed7.txt
+    # only where a change means to move it: a work column may only fall,
+    # and CHANGES.md records which lines moved and why
     golden = Path(__file__).parent / "data" / "bench_sizes200_seed7.txt"
     rc, out = run_cli("bench", "--engines", "naive,sqrt,hier,dtm,lisplus",
                       "--sizes", "200", "--seed", "7")
