@@ -1,29 +1,28 @@
 """Deamortization of block-based algorithms.
 
-A block-based algorithm preprocesses a snapshot of the array (resumably, in
-small quanta), then serves a bounded number of operations at a bounded
-per-operation cost.  ``wrap`` chains such blocks into a continuously
-running estimator: when the active block has consumed 9/10 of its capacity
-the array is snapshotted and a successor starts preprocessing, spread over
-the next tenth; operations arriving meanwhile are buffered and replayed to
-the successor at two per step, so the successor is caught up exactly when
-the active block's capacity runs out.
+A block-based algorithm preprocesses the array as it stands when the block
+is built (resumably, in small quanta), then serves a bounded number of
+operations at a bounded per-operation cost.  ``wrap`` chains such blocks
+into a continuously running estimator: when the active block has consumed
+9/10 of its capacity a successor is built and starts preprocessing, spread
+over the next tenth; operations arriving meanwhile are buffered and
+replayed to the successor at two per step, so the successor is caught up
+exactly when the active block's capacity runs out.
 
 A block may instead continue into the next generation itself: when the
 active block reports (``continuation``) that its live state already is what
-a successor over the snapshot would preprocess, the scheduler skips the
-build, the preprocessing and the replay, and the continuation takes over at
-handover with no second instance alive.
+a successor built now would preprocess, the scheduler skips the build, the
+preprocessing and the replay, and the continuation takes over at handover
+with no second instance alive.
 
 Queries are always answered by the active, fully preprocessed block, so any
 approximation guarantee of the block algorithm carries over unchanged.
 
-The scheduler reads the array through a mirror, which offers ``meter`` (the
-work meter), ``len``, ``apply(op) -> ctx`` (mutate, and return a context
-handed on to the blocks with the operation) and ``snapshot()`` (what the
-factory builds a successor from).  A mirror may be the engine's own live
-state, its own snapshot, when every block reads that state only while it
-is built or answers from it directly.
+The scheduler reads the array through a mirror, which offers ``len`` and
+``apply(op) -> ctx`` (mutate, and return a context handed on to the blocks
+with the operation).  A block reads what it needs from the mirror when it
+is built; one that reads the array while it warms keeps its own frozen
+copy, since the mirror keeps moving.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ class ContractViolationError(RuntimeError):
 class BlockAlgorithm:
     """Behavioral contract for one block generation.
 
-    Lifecycle: construct with a snapshot, drive ``preprocess_step`` until it
+    Lifecycle: construct over the array, drive ``preprocess_step`` until it
     reports completion, then serve up to ``capacity()`` operations.
     ``work_estimate()`` declares the preprocessing size used to compute the
     per-step quantum, in the units ``preprocess_step`` spends (yields, for
@@ -71,12 +70,12 @@ class BlockAlgorithm:
     def extract(self):
         raise NotImplementedError("this block algorithm has no witness")
 
-    def continuation(self, snap) -> Optional["BlockAlgorithm"]:
-        """The next generation over ``snap``, taken just now, when it can run
-        on this block's live state: every operation the active block applies
-        from here on reaches it too, so it needs no preprocessing and no
-        replay.  None (the default) has the successor built from the
-        snapshot."""
+    def continuation(self) -> Optional["BlockAlgorithm"]:
+        """The next generation, over the array as it stands now, when it can
+        run on this block's live state: every operation the active block
+        applies from here on reaches it too, so it needs no preprocessing and
+        no replay.  None (the default) has the factory build the
+        successor."""
         return None
 
 
@@ -106,7 +105,7 @@ class GeneratorBlock(BlockAlgorithm):
 
 
 # ---------------------------------------------------------------------------
-# array mirrors used for snapshotting
+# the persistent mirror: frozen roots for blocks that read while they warm
 
 
 class _PNode:
@@ -123,11 +122,11 @@ class _PNode:
 
 
 class PersistentMirror:
-    """Positional sequence with O(1) snapshots via path copying.
+    """Positional sequence with O(1) frozen copies via path copying.
 
-    Snapshots are frozen roots; a successor block reads its snapshot lazily
-    while the live mirror keeps mutating, so taking one never costs a spike
-    of work in a single step.
+    Every root is frozen: a successor block keeps the root of the moment it
+    was built and reads it lazily while the live mirror keeps mutating, so
+    freezing never costs a spike of work in a single step.
     """
 
     def __init__(self, meter: WorkMeter, seed: int = 0) -> None:
@@ -171,9 +170,6 @@ class PersistentMirror:
         self.root = self._merge(a, b)
         return mid.value
 
-    def snapshot(self) -> Any:
-        return self.root
-
     @staticmethod
     def iter_snapshot(root) -> Iterator[Any]:
         stack = []
@@ -186,31 +182,26 @@ class PersistentMirror:
             yield cur.value
             cur = cur.right
 
-    @staticmethod
-    def snapshot_len(root) -> int:
-        return root.size if root else 0
-
 
 # ---------------------------------------------------------------------------
 
 
-SYNC_BASE_LEN = 32    # below this snapshot size, preprocess synchronously
+SYNC_BASE_LEN = 32    # below this array size, preprocess synchronously
 SYNC_BASE_CAP = 20    # below this capacity, build the successor synchronously
 
 
 class WrappedEstimator:
     """Dynamic estimator built from a block-algorithm factory.
 
-    ``factory(snapshot)`` must return a fresh BlockAlgorithm for the
-    mirror's snapshot.  At most two instances are ever alive.
+    ``factory()`` must return a fresh BlockAlgorithm over the array as the
+    mirror holds it at the call.  At most two instances are ever alive.
     ``generations_rebuilt`` and ``generations_continued`` count the
     handovers to a successor built by the factory and to a continuation.
     """
 
-    def __init__(self, factory: Callable[[Any], BlockAlgorithm], mirror) -> None:
+    def __init__(self, factory: Callable[[], BlockAlgorithm], mirror) -> None:
         self.factory = factory
         self.mirror = mirror
-        self.meter: WorkMeter = mirror.meter
         self.live_instances = 0
         self.max_live_instances = 0
         self._active: Optional[BlockAlgorithm] = None
@@ -226,22 +217,21 @@ class WrappedEstimator:
         self.generations_rebuilt = 0
         self.generations_continued = 0
         # first generation: preprocessed on the spot, charged to the caller
-        inst = self.factory(self.mirror.snapshot())
+        inst = self.factory()
         self._alive(+1)
         while not inst.preprocess_step(max(64, inst.work_estimate())):
             pass
         self._active = inst
 
     def _begin_warming(self) -> None:
-        snap = self.mirror.snapshot()
         self._warm_applied = 0
-        inst = self._active.continuation(snap)
+        inst = self._active.continuation()
         self._continuing = inst is not None
         if self._continuing:
             self._warming = inst
             return
         self._buffer = deque()
-        inst = self.factory(snap)
+        inst = self.factory()
         self._alive(+1)
         g = self._active.capacity()
         if g < SYNC_BASE_CAP or len(self.mirror) < SYNC_BASE_LEN:
@@ -293,19 +283,15 @@ class WrappedEstimator:
         return ctx
 
     def _handover(self) -> None:
-        if self._warming is None:
-            self._begin_warming()
+        # warming began at step (9g+9)//10 <= g, and a successor of an active
+        # block below SYNC_BASE_CAP was preprocessed when it was built
         if self._continuing:
             self._continuing = False
             self.generations_continued += 1
         else:
             if not self._warming.preprocess_step(0):
-                if self._active.capacity() < SYNC_BASE_CAP:
-                    while not self._warming.preprocess_step(max(64, self._warming.work_estimate())):
-                        pass
-                else:
-                    raise ContractViolationError(
-                        "successor not preprocessed at handover; relativity breach?")
+                raise ContractViolationError(
+                    "successor not preprocessed at handover; relativity breach?")
             while self._buffer:
                 b_op, b_ctx = self._buffer.popleft()
                 self._warming.apply(b_op, b_ctx)
@@ -326,5 +312,5 @@ class WrappedEstimator:
         return self._active.extract()
 
 
-def wrap(factory: Callable[[Any], BlockAlgorithm], mirror) -> WrappedEstimator:
+def wrap(factory: Callable[[], BlockAlgorithm], mirror) -> WrappedEstimator:
     return WrappedEstimator(factory, mirror)

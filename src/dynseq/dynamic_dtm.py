@@ -54,7 +54,7 @@ class InversionMatching:
     pairing dict holds the matched set, live, with no scan of the array.
 
     It is also the DTM engine's mirror: a generation reads the live
-    matching once, when it is built, so it is its own snapshot.
+    matching once, when it is built, and keeps no copy.
     """
 
     def __init__(self, meter: Optional[WorkMeter] = None, seed: int = 0) -> None:
@@ -84,9 +84,6 @@ class InversionMatching:
             self.s_count -= 1
             self._place(partner)
         return h.value
-
-    def snapshot(self) -> "InversionMatching":
-        return self
 
     def _place(self, h) -> None:
         """Match h against the unmatched set or add it there."""
@@ -258,7 +255,7 @@ def exact_from_cover_vc(values: Sequence[int], cover_idx: Sequence[int]) -> int:
 
 
 class _DtmBlock(GeneratorBlock):
-    """One generation: exact value d at the snapshot, then report d + a for
+    """One generation: exact value d when it is built, then report d + a for
     the a inserts since.
 
     An insert raises the DTM by at most one; a delete never raises it and
@@ -269,7 +266,7 @@ class _DtmBlock(GeneratorBlock):
     >= eps*d - (1+eps)(a + b) >= 0.  Hence the capacity
     g = floor(eps*d/(1+eps)), and at least one, which keeps a zero exact.
 
-    The scheduler takes the successor's snapshot after s of this
+    The scheduler builds the successor after s of this
     generation's g operations (nine tenths; all of them when g = 1), and
     the successor takes over having applied the other g - s.  Its own d is
     at least d - s, and g - s <= eps*d/(1+eps) - s <= eps*(d - s)/(1+eps),
@@ -278,7 +275,7 @@ class _DtmBlock(GeneratorBlock):
 
     def __init__(self, matching: InversionMatching, epsilon: float) -> None:
         super().__init__()
-        # computed here, at the successor's snapshot, in O(k log n):
+        # computed here, when the successor is built, in O(k log n):
         # spreading it across the generation would need a frozen copy of
         # the matching, since the live one keeps moving, and none is kept;
         # so this step, not the plain updates, sets the worst-case update
@@ -319,9 +316,9 @@ class DtmDynamic:
             raise ValueError("epsilon must be positive")
         self.epsilon = epsilon
         self.meter = meter if meter is not None else WorkMeter()
-        self.matching = InversionMatching(meter=self.meter, seed=seed)
-        self._wrapped = wrap(lambda matching: _DtmBlock(matching, epsilon),
-                             self.matching)
+        # the factory closes over the local, not self: no reference cycle
+        matching = self.matching = InversionMatching(meter=self.meter, seed=seed)
+        self._wrapped = wrap(lambda: _DtmBlock(matching, epsilon), matching)
 
     def __len__(self) -> int:
         return len(self.matching)

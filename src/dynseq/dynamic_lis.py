@@ -100,17 +100,18 @@ def _exact(level: int, n: int, ctx: EngineContext) -> bool:
 class KeyedNaive:
     """Exact keyed estimator: sorted key/value lists, patience per query.
 
-    It is also the mirror a ``KeyedWrapped`` snapshots (``apply``,
-    ``snapshot``), so a keyed engine holds its elements in one pair of
-    lists: its exact generations answer from them, and ``HierarchyLis``
-    reads positions from its top engine's.
+    It is also the mirror of a ``KeyedWrapped`` (``len``, ``apply``), so a
+    keyed engine holds its elements in one pair of lists: its exact
+    generations answer from them, its grid generations copy them when they
+    are built, and ``HierarchyLis`` reads positions from its top engine's.
+    It takes over the lists it is given.
     """
 
     __slots__ = ("keys", "values", "ctx", "_dirty", "_lis")
 
     def __init__(self, keys: list, values: list, ctx: EngineContext) -> None:
-        self.keys = list(keys)
-        self.values = list(values)
+        self.keys = keys
+        self.values = values
         self.ctx = ctx
         self._dirty = True
         self._lis = 0
@@ -118,18 +119,20 @@ class KeyedNaive:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def insert(self, key, value) -> None:
-        i = bisect_left(self.keys, key)
-        self.keys.insert(i, key)
-        self.values.insert(i, value)
-        self.ctx.meter.ticks += max(1, len(self.keys).bit_length())
-        self._dirty = True
-
-    def delete(self, key, value) -> None:
-        i = bisect_left(self.keys, key)
-        self.keys.pop(i)
-        self.values.pop(i)
-        self.ctx.meter.ticks += max(1, len(self.keys).bit_length())
+    def apply(self, token) -> None:
+        """One (kind, key, value) operation, charged at the shorter length:
+        before an insert, after a delete."""
+        kind, key, value = token
+        keys = self.keys
+        i = bisect_left(keys, key)
+        if kind == INSERT:
+            self.ctx.meter.ticks += max(1, len(keys).bit_length())
+            keys.insert(i, key)
+            self.values.insert(i, value)
+        else:
+            keys.pop(i)
+            self.values.pop(i)
+            self.ctx.meter.ticks += max(1, len(keys).bit_length())
         self._dirty = True
 
     def query(self) -> int:
@@ -150,32 +153,9 @@ class KeyedNaive:
     def leaf_elements(self) -> int:
         return len(self.keys)
 
-    # -- mirror protocol -----------------------------------------------------
-
-    @property
-    def meter(self) -> WorkMeter:
-        return self.ctx.meter
-
-    def apply(self, token) -> None:
-        """One (kind, key, value) operation, charged at the length before it."""
-        kind, key, value = token
-        i = bisect_left(self.keys, key)
-        self.ctx.meter.ticks += max(1, len(self.keys).bit_length())
-        if kind == INSERT:
-            self.keys.insert(i, key)
-            self.values.insert(i, value)
-        else:
-            self.keys.pop(i)
-            self.values.pop(i)
-        self._dirty = True
-
-    def snapshot(self) -> tuple[list, list]:
-        self.ctx.meter.ticks += len(self.keys)
-        return (list(self.keys), list(self.values))
-
 
 class KeyedNaiveBlock(BlockAlgorithm):
-    """Exact block generation used when a snapshot is below the cutoff.
+    """Exact block generation used when its engine is below the cutoff.
 
     It answers from its engine's mirror, ``inner``: the active generation
     has applied every operation the mirror has, and a successor is not
@@ -214,6 +194,8 @@ class KeyedNaiveBlock(BlockAlgorithm):
 class GridBlock(GeneratorBlock):
     """One grid-packing generation: value thresholds fix rows, key ranges fix
     columns, each committed segment owns a child estimator over its elements.
+    It is built over a frozen copy of its engine's lists, ``snap``, which it
+    releases once its children are seeded.
 
     Queries are incremental.  The block keeps its children's last scores, and
     ``apply`` records the segment-id list it routed to (one append per
@@ -312,6 +294,7 @@ class GridBlock(GeneratorBlock):
             self.children.append(make_keyed_engine(
                 self.level - 1, seed_keys[sid], seed_vals[sid], self.ctx))
             yield
+        self.snap = None
 
     # -- routing -------------------------------------------------------------
 
@@ -333,12 +316,9 @@ class GridBlock(GeneratorBlock):
         if self.ctx.fault_skip_segment and len(sids) > 1:
             sids = sids[:-1]
         self.ctx.touched_segments += len(sids)
+        children = self.children
         for sid in sids:
-            child = self.children[sid]
-            if kind == INSERT:
-                child.insert(key, value)
-            else:
-                child.delete(key, value)
+            children[sid].apply(token)
         self._touched.append(sids)
 
     def query(self) -> int:
@@ -403,16 +383,17 @@ class KeyedWrapped:
         # (inline freeing measured slower on partitioning, for less memory)
         self._wrapped = wrap(self._block, self.mirror)
 
-    def _block(self, snap: tuple[list, list]) -> BlockAlgorithm:
-        if _exact(self.level, len(self.mirror), self.ctx):
-            return KeyedNaiveBlock(self.mirror)
-        return GridBlock(snap, self.level, self.ctx)
+    def _block(self) -> BlockAlgorithm:
+        mirror = self.mirror
+        if _exact(self.level, len(mirror), self.ctx):
+            return KeyedNaiveBlock(mirror)
+        self.ctx.meter.ticks += len(mirror)
+        return GridBlock((list(mirror.keys), list(mirror.values)),
+                         self.level, self.ctx)
 
-    def insert(self, key, value) -> None:
-        self._wrapped.apply((INSERT, key, value))
-
-    def delete(self, key, value) -> None:
-        self._wrapped.apply((DELETE, key, value))
+    def apply(self, token) -> None:
+        """One (kind, key, value) operation."""
+        self._wrapped.apply(token)
 
     def query(self) -> int:
         return self._wrapped.query()
@@ -498,34 +479,35 @@ class NaiveLis(_PositionalBase):
 class SqrtBlock(GeneratorBlock):
     """One sqrt-engine generation.
 
-    After computing the exact LIS r of the snapshot: if r clears the
+    After computing the exact LIS r of the array as it stood when the block
+    was built (its frozen root, ``snap``): if r clears the
     threshold (2/eps + 1) * sqrt(n), freeze a witness and report r - i at
     local step i (each operation costs the solution at most one element);
     otherwise run the exact level structure live, whose update cost stays
     near sqrt(n) because the LIS remains small for the whole generation.
 
-    Preprocessing makes one patience pass over the snapshot with a pile and
+    Preprocessing makes one patience pass over that root with a pile and
     a back-pointer per element, yielding every 64 elements.  The frozen
     branch walks the witness back from the last pile and keeps its values,
     distinct among live elements: a delete pops the one the mirror removed,
     and ``extract`` places them by one walk of the live mirror.  The exact
     branch seeds its levels from the piles.
 
-    An exact generation whose live LIS at the next snapshot is still below
-    that snapshot's threshold continues on the same level structure
-    (``continuation``): it already holds the snapshot's levels, so nothing
-    is rebuilt.  Only the first generation and a change of branch build from
-    the snapshot.
+    An exact generation whose live LIS, when the next generation is due, is
+    still below that generation's threshold continues on the same level
+    structure (``continuation``): it already holds the array's levels, so
+    nothing is rebuilt.  Only the first generation and a change of branch
+    build from a frozen root.
     """
 
-    def __init__(self, snap, epsilon: float, mirror: PersistentMirror,
+    def __init__(self, epsilon: float, mirror: PersistentMirror,
                  seed: int = 0) -> None:
         super().__init__()
-        self.snap = snap
+        self.snap = mirror.root
         self.epsilon = epsilon
         self.mirror = mirror
         self.seed = seed
-        self.n0 = PersistentMirror.snapshot_len(snap)
+        self.n0 = len(mirror)
         self._cap = max(1, math.isqrt(self.n0))
         if self._cap * self._cap < self.n0:
             self._cap += 1
@@ -585,10 +567,10 @@ class SqrtBlock(GeneratorBlock):
             for _ in self.exact.seed_steps(values, piles):
                 yield
 
-    def continuation(self, snap) -> Optional["SqrtBlock"]:
+    def continuation(self) -> Optional["SqrtBlock"]:
         if self.branch != "exact":
             return None
-        nxt = SqrtBlock(snap, self.epsilon, self.mirror, seed=self.seed)
+        nxt = SqrtBlock(self.epsilon, self.mirror, seed=self.seed)
         if self.exact.lis() >= nxt.tau:
             return None
         nxt.branch = "exact"
@@ -616,7 +598,7 @@ class SqrtBlock(GeneratorBlock):
             return self.exact.extract()
         want = self.r0 - self.i
         first = set(islice(self.witness, want))
-        live = PersistentMirror.iter_snapshot(self.mirror.snapshot())
+        live = PersistentMirror.iter_snapshot(self.mirror.root)
         out: list[tuple[int, int]] = []
         for pos, v in enumerate(live, 1):
             if len(out) == want:
@@ -638,7 +620,7 @@ class SqrtLis(_PositionalBase):
         self.epsilon = epsilon
         mirror = PersistentMirror(self.meter, seed=seed)
         self._wrapped = wrap(
-            lambda snap: SqrtBlock(snap, epsilon, mirror, seed=seed), mirror)
+            lambda: SqrtBlock(epsilon, mirror, seed=seed), mirror)
 
     def apply(self, op: Operation) -> None:
         self._check(op)
@@ -657,7 +639,7 @@ class SqrtLis(_PositionalBase):
 
     @property
     def generations_rebuilt(self) -> int:
-        """Generations after the first that were built from a snapshot."""
+        """Generations after the first that the factory built."""
         return self._wrapped.generations_rebuilt
 
     @property
@@ -702,11 +684,11 @@ class HierarchyLis(_PositionalBase):
                 key = _key_step(keys[0], -1)
             else:
                 key = _key_between(keys[p - 2], keys[p - 1])
-            self._keyed.insert(key, op.value)
+            self._keyed.apply((INSERT, key, op.value))
             self._note(op)
         else:
             value = self._elements.values[p - 1]
-            self._keyed.delete(keys[p - 1], value)
+            self._keyed.apply((DELETE, keys[p - 1], value))
             self._note(op, value)
 
     def query(self) -> int:

@@ -1,12 +1,16 @@
+import gc
 import math
 import random
+import weakref
 
 import pytest
 
-from dynseq.block_scheduler import (ContractViolationError, GeneratorBlock,
-                                    PersistentMirror, wrap)
+from dynseq.block_scheduler import (SYNC_BASE_CAP, SYNC_BASE_LEN,
+                                    ContractViolationError, GeneratorBlock,
+                                    PersistentMirror, WrappedEstimator, wrap)
 from dynseq.classic import lis_length
-from dynseq.dynamic_lis import SqrtBlock, sqrt_engine
+from dynseq.dynamic_dtm import DtmDynamic
+from dynseq.dynamic_lis import NaiveLis, SqrtBlock, SqrtLis, sqrt_engine
 from dynseq.exact_lis import ExactDynamicLis
 from dynseq.indexed_sequence import INSERT, IndexedSeq, dele, ins
 from dynseq.streams import generate_stream
@@ -18,9 +22,9 @@ class RecomputeBlock(GeneratorBlock):
     """Exact block algorithm with a tiny capacity: the wrapper must then
     degenerate to recompute-per-operation and stay exact throughout."""
 
-    def __init__(self, snap, capacity=1):
+    def __init__(self, mirror, capacity=1):
         super().__init__()
-        self.items = list(PersistentMirror.iter_snapshot(snap))
+        self.items = list(PersistentMirror.iter_snapshot(mirror.root))
         self._cap = capacity
 
     def capacity(self):
@@ -46,8 +50,8 @@ class RecomputeBlock(GeneratorBlock):
 
 def test_capacity_one_degenerates_to_recompute():
     meter = WorkMeter()
-    est = wrap(lambda snap: RecomputeBlock(snap, capacity=1),
-               PersistentMirror(meter))
+    mirror = PersistentMirror(meter)
+    est = wrap(lambda: RecomputeBlock(mirror, capacity=1), mirror)
     rng = random.Random(1)
     ref = []
     used = set()
@@ -63,6 +67,82 @@ def test_capacity_one_degenerates_to_recompute():
             ref.insert(p - 1, v)
         assert est.query() == lis_length(ref)
     assert est.max_live_instances <= 2
+
+
+class PacedBlock(RecomputeBlock):
+    """RecomputeBlock whose preprocessing yields once per 4 elements."""
+
+    def work_estimate(self):
+        return len(self.items) // 4 + 2
+
+    def preprocess_gen(self):
+        for _ in range(len(self.items) // 4):
+            yield
+        self._lis = lis_length(self.items)
+        self.ready = True
+        yield
+
+
+@pytest.mark.parametrize("capacity", range(1, 26))
+def test_every_successor_is_ready_before_its_handover(capacity, monkeypatch):
+    # capacities 1-25 and sizes 30-34 straddle SYNC_BASE_CAP and
+    # SYNC_BASE_LEN: successors are preprocessed on the spot below either
+    # and paced above both, and each must be ready before the handover
+    # starts
+    assert 1 < SYNC_BASE_CAP <= 25 and 30 < SYNC_BASE_LEN <= 34
+    handover = WrappedEstimator._handover
+    handovers = 0
+
+    def checked_handover(self):
+        nonlocal handovers
+        handovers += 1
+        assert getattr(self._warming, "ready", False)
+        handover(self)
+
+    monkeypatch.setattr(WrappedEstimator, "_handover", checked_handover)
+    mirror = PersistentMirror(WorkMeter(), seed=capacity)
+    est = wrap(lambda: PacedBlock(mirror, capacity=capacity), mirror)
+    rng = random.Random(capacity)
+    used = set()
+    ref = []
+    sizes = set()
+    for _ in range(150 + 8 * capacity):
+        if len(ref) == 34 or (len(ref) > 30 and rng.random() < 0.5):
+            p = rng.randint(1, len(ref))
+            est.apply(dele(p))
+            ref.pop(p - 1)
+        else:
+            (v,) = fresh_values(rng, used)
+            p = rng.randint(1, len(ref) + 1)
+            est.apply(ins(p, v))
+            ref.insert(p - 1, v)
+        assert est.query() == lis_length(ref)
+        if len(ref) >= 30:
+            sizes.add(len(ref))
+    assert handovers == est.generations_rebuilt >= 10
+    assert sizes == set(range(30, 35))
+
+
+def test_engines_are_freed_without_the_cyclic_collector():
+    # the zero-argument factories close over their parts, never over the
+    # engine: with the collector off, dropping an engine frees it at once.
+    # (Trees with parent pointers form cycles of their own, so only the
+    # engine object itself is checked.)
+    rng = random.Random(4)
+    gc.disable()
+    try:
+        for make in (lambda: SqrtLis(0.5, seed=1), lambda: DtmDynamic(0.5),
+                     NaiveLis):
+            eng = make()
+            used = set()
+            for i in range(300):
+                (v,) = fresh_values(rng, used)
+                eng.apply(ins(rng.randint(1, i + 1), v))
+            ref = weakref.ref(eng)
+            del eng
+            assert ref() is None, make
+    finally:
+        gc.enable()
 
 
 def mixed_stream(seed, steps, delete_prob):
@@ -184,7 +264,7 @@ def test_sqrt_work_estimate_covers_preprocessing(kind):
         mirror = PersistentMirror(WorkMeter(), seed=n)
         for i, v in enumerate(values):
             mirror.apply(ins(i + 1, v))
-        blk = SqrtBlock(mirror.snapshot(), 0.5, mirror)
+        blk = SqrtBlock(0.5, mirror)
         yields = sum(1 for _ in blk.preprocess_gen())
         assert blk.work_estimate() > yields, (n, blk.branch)
         assert blk.query() == fenwick_lis(values)
@@ -262,16 +342,15 @@ def test_mirror_snapshots_are_frozen():
     mir = PersistentMirror(meter, seed=1)
     mir.apply(ins(1, 10))
     mir.apply(ins(2, 20))
-    snap = mir.snapshot()
+    snap = mir.root
     mir.apply(ins(1, 5))
     mir.apply(dele(3))
     assert list(PersistentMirror.iter_snapshot(snap)) == [10, 20]
-    assert PersistentMirror.snapshot_len(snap) == 2
 
 
 def test_unready_successor_is_a_contract_violation():
     meter = WorkMeter()
-    est = wrap(lambda snap: _FirstFine(snap), PersistentMirror(meter))
+    est = wrap(_FirstFine, PersistentMirror(meter))
     rng = random.Random(5)
     with pytest.raises(ContractViolationError):
         for i in range(200):
@@ -283,7 +362,7 @@ class _FirstFine(GeneratorBlock):
 
     count = 0
 
-    def __init__(self, snap):
+    def __init__(self):
         super().__init__()
         _FirstFine.count += 1
         self.broken = _FirstFine.count > 1

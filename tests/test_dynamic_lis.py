@@ -539,3 +539,60 @@ def test_hierarchy_top_engine_crosses_the_cutoff_both_ways():
             else:
                 step(dele(rng.randint(1, len(shadow))))
     assert phases == ["exact", "grid", "exact", "grid"]
+
+
+def test_only_grid_generations_copy_the_mirror(monkeypatch):
+    # below the cutoff every generation is exact and answers from the
+    # engine's mirror, so an update costs the mirror's own charge and no
+    # generation copies the array; past it, a grid generation copies the
+    # mirror's lists when it is built and drops the copy once its children
+    # are seeded
+    eng = hierarchy_engine(0.5)
+    wrapped = eng._keyed._wrapped
+    mirror = eng._keyed.mirror
+    grids = []
+    grid_init = GridBlock.__init__
+
+    def recording_init(self, snap, level, ctx):
+        grid_init(self, snap, level, ctx)
+        if level == eng.depth:
+            assert snap[0] is not mirror.keys and snap[1] is not mirror.values
+            assert snap == (mirror.keys, mirror.values) and snap[1] == shadow
+            grids.append(self)
+
+    monkeypatch.setattr(GridBlock, "__init__", recording_init)
+    rng = random.Random(12)
+    used = set()
+    shadow = []
+
+    def step(op):
+        if op.kind == INSERT:
+            shadow.insert(op.position - 1, op.value)
+        else:
+            shadow.pop(op.position - 1)
+        eng.apply(op)
+
+    for t in range(400):
+        n = len(shadow)
+        grow = n < 20 or (n < 50 and rng.random() < 0.5)
+        before = eng.meter.ticks
+        if grow:
+            (v,) = fresh_values(rng, used)
+            step(ins(rng.randint(1, n + 1), v))
+            charge = max(1, n.bit_length())
+        else:
+            step(dele(rng.randint(1, n)))
+            charge = max(1, (n - 1).bit_length())
+        assert eng.meter.ticks - before == charge, t
+        assert wrapped.active.inner is mirror
+    assert wrapped.generations_rebuilt >= 5
+    assert not grids
+    while len(shadow) < 300:
+        (v,) = fresh_values(rng, used)
+        step(ins(rng.randint(1, len(shadow) + 1), v))
+        assert eng.query() <= fenwick_lis(shadow)
+    assert len(grids) >= 2
+    for blk in grids:
+        if blk.preprocess_step(0):
+            assert blk.snap is None
+    assert isinstance(wrapped.active, GridBlock) and wrapped.active.snap is None
