@@ -3,7 +3,7 @@ monotone partitioning, with work-unit instrumentation throughout."""
 
 from .array_packing import ArrayPacking, ArraySegment, build_array_packing
 from .block_scheduler import (BlockAlgorithm, ContractViolationError,
-                              PersistentMirror, WrappedEstimator, wrap)
+                              WrappedEstimator, wrap)
 from .exact_lis import ExactDynamicLis
 from .classic import (OracleScaleError, brute_dtm, brute_lis, levels,
                       lis_extract, lis_length, weighted_dtm, weighted_his)
@@ -32,8 +32,8 @@ __all__ = [
     "DtmDynamic", "DuplicateValueError", "GridLis", "GridPacking",
     "GridSegment", "HierarchyLis", "IndexedSeq", "InsertOnlyError",
     "InversionMatching", "LisPlus", "NaiveLis", "Operation",
-    "OracleScaleError", "Partition", "PersistentMirror", "PositionError",
-    "SqrtLis", "WorkMeter", "WrappedEstimator", "brute_dtm", "brute_lis",
+    "OracleScaleError", "Partition", "PositionError", "SqrtLis",
+    "WorkMeter", "WrappedEstimator", "brute_dtm", "brute_lis",
     "build_array_packing", "build_grid_packing", "dele",
     "exact_from_cover_labels", "exact_from_cover_vc", "extract",
     "generate_stream", "grid_engine", "hierarchy_engine", "ins", "levels",

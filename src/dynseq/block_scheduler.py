@@ -21,18 +21,17 @@ approximation guarantee of the block algorithm carries over unchanged.
 The scheduler reads the array through a mirror, which offers ``len`` and
 ``apply(op) -> ctx`` (mutate, and return a context handed on to the blocks
 with the operation).  A block reads what it needs from the mirror when it
-is built; one that reads the array while it warms keeps its own frozen
-copy, since the mirror keeps moving.
+is built; one that reads the array while it warms opens the mirror's
+snapshot (``IndexedSeq.snapshot``), which walks the array as it stood at
+the opening while the mirror keeps moving.
 """
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from typing import Any, Callable, Iterator, Optional
 
-from .indexed_sequence import INSERT, Operation
-from .work import WorkMeter
+from .indexed_sequence import Operation
 
 
 class ContractViolationError(RuntimeError):
@@ -102,88 +101,6 @@ class GeneratorBlock(BlockAlgorithm):
             self._done = True
             self._gen = None
         return self._done
-
-
-# ---------------------------------------------------------------------------
-# the persistent mirror: frozen roots for blocks that read while they warm
-
-
-class _PNode:
-    """Immutable node of the persistent positional treap."""
-
-    __slots__ = ("value", "prio", "size", "left", "right")
-
-    def __init__(self, value, prio, left, right):
-        self.value = value
-        self.prio = prio
-        self.left = left
-        self.right = right
-        self.size = 1 + (left.size if left else 0) + (right.size if right else 0)
-
-
-class PersistentMirror:
-    """Positional sequence with O(1) frozen copies via path copying.
-
-    Every root is frozen: a successor block keeps the root of the moment it
-    was built and reads it lazily while the live mirror keeps mutating, so
-    freezing never costs a spike of work in a single step.
-    """
-
-    def __init__(self, meter: WorkMeter, seed: int = 0) -> None:
-        self.meter = meter
-        self.rng = random.Random(seed ^ 0x9E3779B9)
-        self.root: Optional[_PNode] = None
-
-    def __len__(self) -> int:
-        return self.root.size if self.root else 0
-
-    def _merge(self, a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        self.meter.ticks += 1
-        if a.prio > b.prio:
-            return _PNode(a.value, a.prio, a.left, self._merge(a.right, b))
-        return _PNode(b.value, b.prio, self._merge(a, b.left), b.right)
-
-    def _split(self, t, k):
-        if t is None:
-            return None, None
-        self.meter.ticks += 1
-        lsize = t.left.size if t.left else 0
-        if k <= lsize:
-            a, b = self._split(t.left, k)
-            return a, _PNode(t.value, t.prio, b, t.right)
-        a, b = self._split(t.right, k - lsize - 1)
-        return _PNode(t.value, t.prio, t.left, a), b
-
-    def apply(self, op: Operation) -> Any:
-        """Mutate and return the op context (removed value for deletes)."""
-        if op.kind == INSERT:
-            a, b = self._split(self.root, op.position - 1)
-            node = _PNode(op.value, self.rng.random(), None, None)
-            self.root = self._merge(self._merge(a, node), b)
-            return None
-        a, rest = self._split(self.root, op.position - 1)
-        mid, b = self._split(rest, 1)
-        self.root = self._merge(a, b)
-        return mid.value
-
-    @staticmethod
-    def iter_snapshot(root) -> Iterator[Any]:
-        stack = []
-        cur = root
-        while stack or cur is not None:
-            while cur is not None:
-                stack.append(cur)
-                cur = cur.left
-            cur = stack.pop()
-            yield cur.value
-            cur = cur.right
-
-
-# ---------------------------------------------------------------------------
 
 
 SYNC_BASE_LEN = 32    # below this array size, preprocess synchronously

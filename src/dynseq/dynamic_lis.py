@@ -29,12 +29,11 @@ from bisect import bisect_left, bisect_right
 from itertools import islice
 from typing import Any, Optional
 
-from .block_scheduler import (BlockAlgorithm, GeneratorBlock,
-                              PersistentMirror, wrap)
+from .block_scheduler import BlockAlgorithm, GeneratorBlock, wrap
 from .classic import lis_extract, lis_length
 from .exact_lis import ExactDynamicLis
 from .grid_packing import GridPacking
-from .indexed_sequence import DELETE, INSERT, Operation, _check_op
+from .indexed_sequence import DELETE, INSERT, IndexedSeq, Operation, _check_op
 from .work import WorkMeter
 
 KEY_WHOLE = 8
@@ -421,7 +420,7 @@ def make_keyed_engine(level: int, keys: list, values: list, ctx: EngineContext):
 
 
 class _PositionalBase:
-    """Position validation and value bookkeeping shared by the engines."""
+    """Validation and value bookkeeping shared by NaiveLis and HierarchyLis."""
 
     def __init__(self, meter: Optional[WorkMeter]) -> None:
         self.meter = meter if meter is not None else WorkMeter()
@@ -480,30 +479,30 @@ class SqrtBlock(GeneratorBlock):
     """One sqrt-engine generation.
 
     After computing the exact LIS r of the array as it stood when the block
-    was built (its frozen root, ``snap``): if r clears the
+    was built (the mirror's snapshot, ``snap``): if r clears the
     threshold (2/eps + 1) * sqrt(n), freeze a witness and report r - i at
     local step i (each operation costs the solution at most one element);
     otherwise run the exact level structure live, whose update cost stays
     near sqrt(n) because the LIS remains small for the whole generation.
 
-    Preprocessing makes one patience pass over that root with a pile and
-    a back-pointer per element, yielding every 64 elements.  The frozen
-    branch walks the witness back from the last pile and keeps its values,
-    distinct among live elements: a delete pops the one the mirror removed,
-    and ``extract`` places them by one walk of the live mirror.  The exact
-    branch seeds its levels from the piles.
+    Preprocessing makes one patience pass over that snapshot with a pile and
+    a back-pointer per element, yielding every 64 elements; the block drops
+    the walk as the pass starts, and the snapshot closes as it ends.  The
+    frozen branch walks the witness back from the last pile and keeps its
+    values, distinct among live elements: a delete pops the one the mirror
+    removed, and ``extract`` places them by one walk of the live mirror.
+    The exact branch seeds its levels from the piles.
 
     An exact generation whose live LIS, when the next generation is due, is
     still below that generation's threshold continues on the same level
     structure (``continuation``): it already holds the array's levels, so
-    nothing is rebuilt.  Only the first generation and a change of branch
-    build from a frozen root.
+    it opens no snapshot and rebuilds nothing.  Only the first generation
+    and a change of branch walk a snapshot.
     """
 
-    def __init__(self, epsilon: float, mirror: PersistentMirror,
-                 seed: int = 0) -> None:
+    def __init__(self, epsilon: float, mirror: IndexedSeq, seed: int = 0,
+                 exact: Optional[ExactDynamicLis] = None) -> None:
         super().__init__()
-        self.snap = mirror.root
         self.epsilon = epsilon
         self.mirror = mirror
         self.seed = seed
@@ -512,11 +511,14 @@ class SqrtBlock(GeneratorBlock):
         if self._cap * self._cap < self.n0:
             self._cap += 1
         self.tau = math.ceil((2.0 / epsilon + 1.0) * math.sqrt(self.n0))
-        self.branch = ""
         self.i = 0
         self.r0 = 0
-        self.exact: Optional[ExactDynamicLis] = None
         self.witness: dict = {}   # values in witness order, O(1) removal
+        # a continuation runs on ``exact``'s live levels and walks nothing
+        self.exact = exact
+        self.branch = "" if exact is None else "exact"
+        self.snap = mirror.snapshot() if exact is None else None
+        self._done = exact is not None
 
     def capacity(self) -> int:
         return self._cap
@@ -524,17 +526,18 @@ class SqrtBlock(GeneratorBlock):
     def work_estimate(self) -> int:
         # the pass yields n0 // 64 times; then the frozen branch's witness
         # walk at most r0 // 64 <= n0 // 64 times, or the exact branch's
-        # handle walk n0 // 64 times and its levels r0 < tau times
-        return 2 * (self.n0 // 64) + self.tau + 1
+        # seeding at most 2 * (n0 // 64) + r0 times, with r0 < tau
+        return 3 * (self.n0 // 64) + self.tau + 1
 
     def preprocess_gen(self):
         meter = self.mirror.meter
+        walk, self.snap = self.snap, None
         values: list = []
         piles: list = []   # per element: its pile, 1-based
         tails: list = []   # top value of each patience pile
         tops: list = []    # its index
         back: list = []    # per element: the top index of the previous pile
-        for v in PersistentMirror.iter_snapshot(self.snap):
+        for v in walk:
             i = bisect_left(tails, v)
             meter.ticks += 1 + max(1, len(tails).bit_length())
             back.append(tops[i - 1] if i else -1)
@@ -570,13 +573,8 @@ class SqrtBlock(GeneratorBlock):
     def continuation(self) -> Optional["SqrtBlock"]:
         if self.branch != "exact":
             return None
-        nxt = SqrtBlock(self.epsilon, self.mirror, seed=self.seed)
-        if self.exact.lis() >= nxt.tau:
-            return None
-        nxt.branch = "exact"
-        nxt.exact = self.exact
-        nxt._done = True
-        return nxt
+        nxt = SqrtBlock(self.epsilon, self.mirror, self.seed, exact=self.exact)
+        return nxt if self.exact.lis() < nxt.tau else None
 
     def apply(self, op: Operation, ctx) -> None:
         self.i += 1
@@ -598,9 +596,8 @@ class SqrtBlock(GeneratorBlock):
             return self.exact.extract()
         want = self.r0 - self.i
         first = set(islice(self.witness, want))
-        live = PersistentMirror.iter_snapshot(self.mirror.root)
         out: list[tuple[int, int]] = []
-        for pos, v in enumerate(live, 1):
+        for pos, v in enumerate(self.mirror, 1):
             if len(out) == want:
                 break
             self.mirror.meter.ticks += 1
@@ -609,23 +606,27 @@ class SqrtBlock(GeneratorBlock):
         return out
 
 
-class SqrtLis(_PositionalBase):
-    """(1+eps)-approximate dynamic LIS with near-sqrt(n) worst-case step cost."""
+class SqrtLis:
+    """(1+eps)-approximate dynamic LIS with near-sqrt(n) worst-case step cost.
+    Its array is the scheduler's mirror, one ``IndexedSeq``."""
 
     def __init__(self, epsilon: float, meter: Optional[WorkMeter] = None,
                  seed: int = 0) -> None:
         if not 0.0 < epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
-        super().__init__(meter)
         self.epsilon = epsilon
-        mirror = PersistentMirror(self.meter, seed=seed)
+        self.meter = meter if meter is not None else WorkMeter()
+        # IndexedSeq XORs its seed with 0x1D5EC, so this draws priorities
+        # from Random(seed ^ 0x9E3779B9), apart from the exact backing's
+        mirror = IndexedSeq(meter=self.meter, seed=seed ^ 0x9E3779B9 ^ 0x1D5EC)
         self._wrapped = wrap(
             lambda: SqrtBlock(epsilon, mirror, seed=seed), mirror)
 
+    def __len__(self) -> int:
+        return len(self._wrapped.mirror)
+
     def apply(self, op: Operation) -> None:
-        self._check(op)
-        removed = self._wrapped.apply(op)
-        self._note(op, removed)
+        self._wrapped.apply(op)
 
     def query(self) -> int:
         return self._wrapped.query()

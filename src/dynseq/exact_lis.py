@@ -48,22 +48,30 @@ class ExactDynamicLis:
             pass
 
     def seed_steps(self, values: list, piles: list) -> Iterator[None]:
-        """Resumable bulk construction, one chunk of elements per yield,
-        from each element's 1-based patience pile (``classic.levels``),
-        which is its level."""
+        """Resumable bulk construction from each element's 1-based patience
+        pile (``classic.levels``), which is its level: one yield per 64
+        elements placed in the backing sequence and grouped by level, then
+        per 64 elements of each level tree and once after each, so at most
+        2 * (n // 64) + (number of levels) yields."""
         n = len(values)
         if n == 0:
             return
-        self.backing = IndexedSeq(values, meter=self.meter, seed=self._seed)
+        meter = self.meter
+        self.backing = IndexedSeq(meter=meter, seed=self._seed)
         groups: list[list] = [[] for _ in range(max(piles))]
         # index order means each level receives values in descending order
-        for i, node in enumerate(self.backing._seq.nodes()):
+        for i, node in enumerate(self.backing._load(values)):
             groups[piles[i] - 1].append((node.value, node))
             if i % 64 == 63:
+                meter.ticks += 64
                 yield
-        self.meter.ticks += n
+        meter.ticks += n % 64
         for pairs in groups:
-            self.levels.append(Seq.from_pairs(pairs, self.meter, self._rng))
+            level = self._new_seq()
+            for i, _ in enumerate(level._load(pairs)):
+                if i % 64 == 63:
+                    yield
+            self.levels.append(level)
             yield
 
     def _new_seq(self) -> Seq:

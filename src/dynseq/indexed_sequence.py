@@ -20,6 +20,7 @@ nodes per insert, amortized.  Every node walked or relabelled is charged.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional
 
@@ -248,16 +249,28 @@ def _iter_nodes(t: Optional[Node]) -> Iterator[Node]:
         cur = cur.right
 
 
-def _build(nodes: list[Node], meter: WorkMeter) -> Optional[Node]:
-    """Linear-time treap build from nodes in sequence order."""
-    if not nodes:
-        return None
+def _build(seq: "Seq", nodes: Iterable[Node]) -> Iterator[Node]:
+    """Linear-time treap build of the empty ``seq`` from nodes in sequence
+    order, one tick per node.  A generator, so a caller can spread the
+    build: it yields each node once it is linked in, and ``seq.root`` is set
+    when it ends.
+
+    The nodes form a Cartesian tree over their priorities, kept as its right
+    spine.  A node's subtree is complete when a later node pops it off the
+    spine, or when the input ends, and it then spans from its first
+    descendant to the last node read, so sizes are set in the same pass."""
+    meter = seq.meter
     stack: list[Node] = []
+    starts: list[int] = []   # index of each spine node's first descendant
+    n = 0
     for node in nodes:
         meter.ticks += 1
         last: Optional[Node] = None
+        start = n
         while stack and stack[-1].prio < node.prio:
             last = stack.pop()
+            start = starts.pop()
+            last.size = n - start
         node.left = last
         if last is not None:
             last.parent = node
@@ -265,24 +278,12 @@ def _build(nodes: list[Node], meter: WorkMeter) -> Optional[Node]:
             stack[-1].right = node
             node.parent = stack[-1]
         stack.append(node)
-    root = stack[0]
-    root.parent = None
-    _recompute_sizes(root)
-    return root
-
-
-def _recompute_sizes(root: Node) -> None:
-    order: list[Node] = []
-    stack = [root]
-    while stack:
-        n = stack.pop()
-        order.append(n)
-        if n.left is not None:
-            stack.append(n.left)
-        if n.right is not None:
-            stack.append(n.right)
-    for n in reversed(order):
-        _update(n)
+        starts.append(start)
+        n += 1
+        yield node
+    for node, start in zip(stack, starts):
+        node.size = n - start
+    seq.root = stack[0] if stack else None
 
 
 class Seq:
@@ -299,19 +300,16 @@ class Seq:
                  items: Iterable = ()):
         self.meter = meter if meter is not None else default_meter()
         self.rng = rng if rng is not None else random.Random(0x5E9)
-        nodes = [Node(v, self.rng.random()) for v in items]
-        self.root = _build(nodes, self.meter)
+        self.root = None
+        if items:
+            for _ in self._load((v, None) for v in items):
+                pass
 
-    @classmethod
-    def from_pairs(cls, pairs, meter: WorkMeter, rng: random.Random) -> "Seq":
-        """Linear-time build from (value, extra) pairs in sequence order."""
-        out = cls.__new__(cls)
-        out.meter = meter
-        out.rng = rng
-        rnd = rng.random
-        nodes = [Node(v, rnd(), extra) for v, extra in pairs]
-        out.root = _build(nodes, meter)
-        return out
+    def _load(self, pairs: Iterable[tuple]) -> Iterator[Node]:
+        """Build this empty sequence from (value, extra) pairs in sequence
+        order, resumably (``_build``)."""
+        rnd = self.rng.random
+        return _build(self, (Node(v, rnd(), extra) for v, extra in pairs))
 
     def rank_first_value_lt(self, v) -> int:
         """First rank whose value is below v; assumes values descend along
@@ -424,11 +422,6 @@ class Seq:
             self.root = node
         self.meter.ticks += ticks
         return pred, succ
-
-    def delete_at(self, pos: int) -> Node:
-        node = _select(self.root, pos, self.meter)
-        self.unlink(node)
-        return node
 
     def unlink(self, node: Node) -> None:
         """Remove a live node of this sequence in place.
@@ -561,6 +554,49 @@ class Seq:
         return list(self)
 
 
+class _Snapshot:
+    """State of an ``IndexedSeq``'s open snapshot walk: ``cursor``, the next
+    live node to visit (None past the last); ``born``, the nodes inserted
+    since the opening, which the walk skips; and per live node a ``before``
+    queue of snapshot values deleted just before it, unvisited, which the
+    walk emits ahead of the node (``tail`` past the last live node)."""
+
+    __slots__ = ("cursor", "born", "before", "tail")
+
+    def __init__(self, cursor: Optional[Node]) -> None:
+        self.cursor = cursor
+        self.born: set[Node] = set()
+        self.before: dict[Node, deque] = {}
+        self.tail: deque = deque()
+
+    def drop(self, node: Node, meter: WorkMeter) -> None:
+        """Account for the live ``node``, about to be unlinked.  The walk has
+        passed it when its label is below the cursor's, both live."""
+        born = node in self.born
+        self.born.discard(node)
+        cur = self.cursor
+        if cur is None or node.label < cur.label:
+            return
+        moved = self.before.pop(node, deque())
+        if not born:
+            moved.append(node.value)
+        if not moved and node is not cur:
+            return
+        succ = _next(node, meter)
+        if node is cur:
+            self.cursor = succ
+        rest = self.tail if succ is None else self.before.get(succ, ())
+        if len(rest) > len(moved):   # the shorter queue moves
+            rest.extendleft(reversed(moved))
+            moved = rest
+        else:
+            moved.extend(rest)
+        if succ is None:
+            self.tail = moved
+        else:
+            self.before[succ] = moved
+
+
 class IndexedSeq:
     """Distinct-valued integer sequence with positional access, stable
     handles, and logarithmic updates.
@@ -568,22 +604,33 @@ class IndexedSeq:
     Positions are 1-based.  Values must be pairwise distinct; duplicates are
     rejected at ingestion rather than tie-broken silently.  Handles carry
     order labels (module docstring); ``relabelled`` counts the nodes that
-    inserts have given a new label so far.
+    inserts have given a new label so far.  ``snapshot`` walks the values
+    as they stood when it was called, while updates go on.
     """
 
     def __init__(self, values: Iterable[int] = (),
                  meter: Optional[WorkMeter] = None,
                  seed: int = 0) -> None:
-        values = list(values)
         self._seq = Seq(meter=meter, rng=random.Random(seed ^ 0x1D5EC))
-        rnd = self._seq.rng.random
-        nodes = [Node(v, rnd(), None, i * LABEL_SPACING)
-                 for i, v in enumerate(values)]
-        self._seq.root = _build(nodes, self._seq.meter)
         self.relabelled = 0
-        self._values: set[int] = set(values)
-        if len(self._values) != len(values):
-            raise DuplicateValueError("seed values must be pairwise distinct")
+        self._values: set[int] = set()
+        self._snap: Optional[_Snapshot] = None
+        for _ in self._load(values):
+            pass
+
+    def _load(self, values: Iterable[int]) -> Iterator[Node]:
+        """Build this empty sequence from ``values``, resumably
+        (``_build``)."""
+        rnd = self._seq.rng.random
+        seen = self._values
+
+        def nodes() -> Iterator[Node]:
+            for i, v in enumerate(values):
+                if v in seen:
+                    raise DuplicateValueError("seed values must be pairwise distinct")
+                seen.add(v)
+                yield Node(v, rnd(), None, i * LABEL_SPACING)
+        return _build(self._seq, nodes())
 
     @property
     def meter(self) -> WorkMeter:
@@ -594,6 +641,40 @@ class IndexedSeq:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._seq)
+
+    def snapshot(self) -> Iterator[int]:
+        """An iterator over the values as they stand now, in order, which
+        stays correct while inserts and deletes go on.  One is open at a
+        time (a second call raises ``RuntimeError``) until its walk ends or
+        is closed or dropped.  An update pays one test while none is open;
+        a delete ahead of the walk looks up its successor."""
+        if self._snap is not None:
+            raise RuntimeError("a snapshot of this sequence is already open")
+        root = self._seq.root
+        # the walk charges nothing: its consumer charges each value it
+        # reads, which covers the walk's O(n) steps, first descent included
+        free = WorkMeter()
+        snap = self._snap = _Snapshot(
+            None if root is None else _select(root, 1, free))
+        walk = self._walk(snap, free)
+        next(walk)
+        return walk
+
+    def _walk(self, snap: _Snapshot, meter: WorkMeter) -> Iterator[int]:
+        try:
+            yield   # started by snapshot(), so closing or dropping runs finally
+            while snap.cursor is not None:
+                node = snap.cursor
+                queued = snap.before.pop(node, None)
+                if queued:
+                    yield from queued
+                if snap.cursor is node:   # not deleted meanwhile
+                    snap.cursor = _next(node, meter)
+                    if node not in snap.born:
+                        yield node.value
+            yield from snap.tail
+        finally:
+            self._snap = None
 
     def _check(self, op: Operation) -> None:
         _check_op(op, len(self), self._values)
@@ -620,6 +701,8 @@ class IndexedSeq:
             node.label = (pred.label + succ.label) // 2
         else:
             self._relabel(node, pred)
+        if self._snap is not None:
+            self._snap.born.add(node)
         return node
 
     def _relabel(self, node: Node, pred: Node) -> None:
@@ -661,7 +744,11 @@ class IndexedSeq:
         """Check and apply a delete, with no separate lookup of the handle;
         returns the removed node, which is the element's handle."""
         self._check(op)
-        node = self._seq.delete_at(op.position)
+        seq = self._seq
+        node = seq.node_at(op.position)
+        if self._snap is not None:
+            self._snap.drop(node, seq.meter)
+        seq.unlink(node)
         self._values.discard(node.value)
         return node
 

@@ -7,7 +7,7 @@ import pytest
 
 from dynseq.block_scheduler import (SYNC_BASE_CAP, SYNC_BASE_LEN,
                                     ContractViolationError, GeneratorBlock,
-                                    PersistentMirror, WrappedEstimator, wrap)
+                                    WrappedEstimator, wrap)
 from dynseq.classic import lis_length
 from dynseq.dynamic_dtm import DtmDynamic
 from dynseq.dynamic_lis import NaiveLis, SqrtBlock, SqrtLis, sqrt_engine
@@ -24,7 +24,7 @@ class RecomputeBlock(GeneratorBlock):
 
     def __init__(self, mirror, capacity=1):
         super().__init__()
-        self.items = list(PersistentMirror.iter_snapshot(mirror.root))
+        self.items = list(mirror)
         self._cap = capacity
 
     def capacity(self):
@@ -50,7 +50,7 @@ class RecomputeBlock(GeneratorBlock):
 
 def test_capacity_one_degenerates_to_recompute():
     meter = WorkMeter()
-    mirror = PersistentMirror(meter)
+    mirror = IndexedSeq(meter=meter)
     est = wrap(lambda: RecomputeBlock(mirror, capacity=1), mirror)
     rng = random.Random(1)
     ref = []
@@ -100,7 +100,7 @@ def test_every_successor_is_ready_before_its_handover(capacity, monkeypatch):
         handover(self)
 
     monkeypatch.setattr(WrappedEstimator, "_handover", checked_handover)
-    mirror = PersistentMirror(WorkMeter(), seed=capacity)
+    mirror = IndexedSeq(meter=WorkMeter(), seed=capacity)
     est = wrap(lambda: PacedBlock(mirror, capacity=capacity), mirror)
     rng = random.Random(capacity)
     used = set()
@@ -261,7 +261,7 @@ def test_sqrt_work_estimate_covers_preprocessing(kind):
             random.Random(n).shuffle(values)
         elif kind == "reverse":
             values.reverse()
-        mirror = PersistentMirror(WorkMeter(), seed=n)
+        mirror = IndexedSeq(meter=WorkMeter(), seed=n)
         for i, v in enumerate(values):
             mirror.apply(ins(i + 1, v))
         blk = SqrtBlock(0.5, mirror)
@@ -270,6 +270,62 @@ def test_sqrt_work_estimate_covers_preprocessing(kind):
         assert blk.query() == fenwick_lis(values)
     # at n = 3000 a sorted snapshot freezes and the others run exact
     assert blk.branch == ("frozen" if kind == "sorted" else "exact")
+
+
+@pytest.mark.parametrize("kind", ["random", "reverse"])
+def test_exact_branch_seeding_is_paced(kind):
+    # building the backing sequence, grouping by level and building each
+    # level tree all yield every 64 elements, so no stretch between two
+    # yields of the preprocessing charges more than about 64 log n ticks
+    for n in (1000, 3000, 10000):
+        values = list(range(n))
+        if kind == "random":
+            random.Random(n).shuffle(values)
+        else:
+            values.reverse()
+        meter = WorkMeter()
+        mirror = IndexedSeq(meter=meter, seed=n)
+        for i, v in enumerate(values):
+            mirror.apply(ins(i + 1, v))
+        blk = SqrtBlock(0.5, mirror)
+        marks = [meter.ticks]
+        for _ in blk.preprocess_gen():
+            marks.append(meter.ticks)
+        marks.append(meter.ticks)
+        worst = max(b - a for a, b in zip(marks, marks[1:]))
+        assert blk.branch == "exact"
+        assert worst < 64 * (2 + n.bit_length()), (n, worst)
+
+
+@pytest.mark.parametrize("kind", ["sorted", "uniform"])
+def test_snapshot_lives_only_while_a_rebuilt_successor_warms(kind):
+    # the mirror holds at most one open snapshot; a rebuilt successor opens
+    # it and drops it as its patience pass starts, a continuation opens
+    # none, and no active block keeps one
+    eng = sqrt_engine(0.5, seed=1)
+    wrapped = eng._wrapped
+    mirror = wrapped.mirror
+    seen_open = 0
+    for op in generate_stream(kind, 3000, 1):
+        eng.apply(op)
+        active, warming = wrapped.active, wrapped._warming
+        walking = [blk for blk in (active, warming) if blk is not None
+                   and (blk.snap is not None or blk._gen is not None)]
+        assert len(walking) <= 1
+        assert active.snap is None and active._gen is None
+        if warming is not None and wrapped._continuing:
+            assert warming.snap is None and warming._gen is None
+        if mirror._snap is not None:
+            seen_open += 1
+            assert walking == [warming] and not wrapped._continuing
+        else:
+            assert warming is None or warming.snap is None
+    # sorted: frozen generations, each rebuilt while the active one serves;
+    # uniform: exact generations, which continue
+    if kind == "sorted":
+        assert eng.generations_rebuilt > 0 and seen_open > 0
+    else:
+        assert eng.generations_continued > 0
 
 
 @pytest.mark.parametrize("seed", range(1, 4))
@@ -337,20 +393,9 @@ def test_frozen_witness_survives_deletes_and_reinserts(seed, monkeypatch):
     assert not [blk for blk in owners if blk.branch == "frozen"]
 
 
-def test_mirror_snapshots_are_frozen():
-    meter = WorkMeter()
-    mir = PersistentMirror(meter, seed=1)
-    mir.apply(ins(1, 10))
-    mir.apply(ins(2, 20))
-    snap = mir.root
-    mir.apply(ins(1, 5))
-    mir.apply(dele(3))
-    assert list(PersistentMirror.iter_snapshot(snap)) == [10, 20]
-
-
 def test_unready_successor_is_a_contract_violation():
     meter = WorkMeter()
-    est = wrap(_FirstFine, PersistentMirror(meter))
+    est = wrap(_FirstFine, IndexedSeq(meter=meter))
     rng = random.Random(5)
     with pytest.raises(ContractViolationError):
         for i in range(200):

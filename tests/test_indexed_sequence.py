@@ -1,6 +1,7 @@
 import math
 import random
 from bisect import bisect_right
+from itertools import count
 
 import pytest
 from hypothesis import given, settings
@@ -312,3 +313,71 @@ def test_unlink_charges_fewer_ticks_than_split_join():
             remove(s, rng.randint(1, len(s)))
         ticks.append(meter.ticks)
     assert ticks[0] < ticks[1], ticks
+
+
+def test_snapshot_walk_matches_a_copy_taken_at_opening():
+    # between steps of the walk: deletes at, ahead of and behind its cursor,
+    # runs of deletes ahead of it in random order (whose queued values
+    # merge), deletes of elements inserted since the opening, and bursts of
+    # inserts nested in one gap, which use its labels up and force relabels
+    counts = dict.fromkeys(["at", "ahead", "behind", "run", "born",
+                            "insert", "nested"], 0)
+    relabelled = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        fresh = count()
+        s = IndexedSeq(rng.sample(range(10 ** 6, 2 * 10 ** 6),
+                                  rng.randint(0, 40)), seed=seed)
+        for _ in range(rng.randint(0, 10)):
+            s.insert(rng.randint(1, len(s) + 1), next(fresh))
+        copy = s.materialize()
+        walk = s.snapshot()
+        with pytest.raises(RuntimeError):
+            s.snapshot()
+        born: list = []
+        before = s.relabelled
+
+        def update():
+            cursor = s._snap.cursor
+            at = s.position_of(cursor) if cursor is not None else len(s) + 1
+            live = [h for h in born if h.size]
+            kind = rng.choice(list(counts))
+            if kind == "at" and cursor is not None:
+                s.delete(at)
+            elif kind == "ahead" and at < len(s):
+                s.delete(rng.randint(at + 1, len(s)))
+            elif kind == "behind" and at > 1:
+                s.delete(rng.randint(1, at - 1))
+            elif kind == "run" and at <= len(s):
+                first = rng.randint(at, len(s))
+                run = [s.handle_at(p)
+                       for p in range(first, min(len(s), first + 7) + 1)]
+                rng.shuffle(run)
+                for h in run:
+                    s.delete(s.position_of(h))
+            elif kind == "born" and live:
+                s.delete(s.position_of(rng.choice(live)))
+            elif kind in ("insert", "nested"):
+                pos = rng.randint(1, len(s) + 1)
+                for _ in range(70 if kind == "nested" else 1):
+                    born.append(s.insert(pos, next(fresh)))
+            else:
+                return
+            counts[kind] += 1
+
+        for _ in range(rng.randint(0, 2)):
+            update()
+        out = []
+        for v in walk:
+            out.append(v)
+            if rng.random() < 0.3:
+                update()
+        assert out == copy, seed
+        relabelled += s.relabelled - before
+        assert s._snap is None     # closed when the walk ended
+        walk = s.snapshot()
+        del walk                   # closed when dropped, even unstarted
+        assert list(s.snapshot()) == s.materialize()
+        assert labels_increase(s)
+    assert relabelled > 0
+    assert min(counts.values()) > 0, counts
