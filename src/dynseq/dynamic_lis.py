@@ -192,12 +192,17 @@ class KeyedNaiveBlock(BlockAlgorithm):
 
 class GridBlock(GeneratorBlock):
     """One grid-packing generation: value thresholds fix rows, key ranges fix
-    columns, each committed segment owns a child estimator over its elements.
-    It is built over a frozen copy of its engine's lists, ``snap``, which it
-    releases once its children are seeded.
+    columns, each distinct cell set owns a child estimator over its elements.
+    Segments over one cell set (the single-cell row and column segments of a
+    cell) share its child: a child is a function of its seed lists and the
+    tokens routed to it, so copies would hold equal engines and answer equal
+    scores.  ``chain_dp`` still scores every segment, each read from its
+    child through ``grid.child_of``.  The block is built over a frozen copy
+    of its engine's lists, ``snap``, which it releases once its children are
+    seeded.
 
     Queries are incremental.  The block keeps its children's last scores, and
-    ``apply`` records the segment-id list it routed to (one append per
+    ``apply`` records the child-index list it routed to (one append per
     operation).  ``query`` re-queries only the recorded children and reruns
     ``chain_dp``, a pure function of the scores, only when one of them moved.
     The first query, and one after more recorded lists than children, makes
@@ -227,7 +232,7 @@ class GridBlock(GeneratorBlock):
         self.children: list = []
         self._col_limit = 0
         self._scores: Optional[list[int]] = None   # children's last answers
-        self._touched: list = []   # segment-id lists applied since the last query
+        self._touched: list = []   # child-index lists applied since the last query
         self._cached = 0
         self._chain: list[int] = []
 
@@ -271,9 +276,11 @@ class GridBlock(GeneratorBlock):
         self.grid = self.ctx.grid(m)
         meter.ticks += len(self.grid.segments)
         yield
-        # per-segment membership in array order
-        seed_keys: list[list] = [[] for _ in self.grid.segments]
-        seed_vals: list[list] = [[] for _ in self.grid.segments]
+        # per-child membership in array order
+        count = max(self.grid.child_of) + 1
+        seed_keys: list[list] = [[] for _ in range(count)]
+        seed_vals: list[list] = [[] for _ in range(count)]
+        cell_children = self.grid.cell_children
         col = 0
         acc = sizes[0] if sizes else 0
         for i in range(n):
@@ -281,17 +288,17 @@ class GridBlock(GeneratorBlock):
                 col += 1
                 acc += sizes[col]
             row = bisect_left(self.thresholds, values[i]) + 1
-            for sid in self.grid.cell_cover.get((row, col + 1), ()):
-                seed_keys[sid].append(keys[i])
-                seed_vals[sid].append(values[i])
+            for child in cell_children.get((row, col + 1), ()):
+                seed_keys[child].append(keys[i])
+                seed_vals[child].append(values[i])
             meter.ticks += 1
             if i % 64 == 63:
                 yield
         yield
         self.children = []
-        for sid in range(len(self.grid.segments)):
+        for child in range(count):
             self.children.append(make_keyed_engine(
-                self.level - 1, seed_keys[sid], seed_vals[sid], self.ctx))
+                self.level - 1, seed_keys[child], seed_vals[child], self.ctx))
             yield
         self.snap = None
 
@@ -311,14 +318,15 @@ class GridBlock(GeneratorBlock):
                 raise AssertionError("column grew beyond twice its initial load")
         else:
             self.col_sizes[col - 1] -= 1
-        sids = self.grid.cell_cover.get((row, col), ())
-        if self.ctx.fault_skip_segment and len(sids) > 1:
-            sids = sids[:-1]
-        self.ctx.touched_segments += len(sids)
+        cell = (row, col)
+        self.ctx.touched_segments += len(self.grid.cell_cover.get(cell, ()))
+        idxs = self.grid.cell_children.get(cell, ())
+        if self.ctx.fault_skip_segment and len(idxs) > 1:
+            idxs = idxs[:-1]
         children = self.children
-        for sid in sids:
-            children[sid].apply(token)
-        self._touched.append(sids)
+        for child in idxs:
+            children[child].apply(token)
+        self._touched.append(idxs)
 
     def query(self) -> int:
         touched = self._touched
@@ -328,20 +336,22 @@ class GridBlock(GeneratorBlock):
             ticks = len(children)
             moved = True
         elif touched:
-            sids = touched[0] if len(touched) == 1 else set().union(*touched)
+            idxs = touched[0] if len(touched) == 1 else set().union(*touched)
             scores = self._scores
-            ticks = len(sids)
+            ticks = len(idxs)
             moved = False
-            for sid in sids:
-                score = children[sid].query()
-                if score != scores[sid]:
-                    scores[sid] = score
+            for child in idxs:
+                score = children[child].query()
+                if score != scores[child]:
+                    scores[child] = score
                     moved = True
         else:
             return self._cached
         touched.clear()
         if moved:
-            total, self._chain = self.grid.chain_dp(self._scores)
+            scores = self._scores
+            total, self._chain = self.grid.chain_dp(
+                [scores[child] for child in self.grid.child_of])
             self._cached = int(round(total))
             ticks += self.m * self.m
         self.ctx.meter.ticks += ticks
@@ -350,8 +360,9 @@ class GridBlock(GeneratorBlock):
     def extract(self) -> list[tuple[Any, Any]]:
         self.query()
         out: list[tuple[Any, Any]] = []
+        child_of = self.grid.child_of
         for sid in self._chain:
-            out.extend(self.children[sid].extract())
+            out.extend(self.children[child_of[sid]].extract())
         return out
 
     def describe(self) -> list[tuple[int, int]]:
@@ -364,6 +375,8 @@ class GridBlock(GeneratorBlock):
         return prof + best
 
     def leaf_elements(self) -> int:
+        """Copies held by the leaves below: an element has one in every
+        child whose cell set covers its cell, not one per segment."""
         return sum(child.leaf_elements() for child in self.children)
 
 
@@ -710,7 +723,9 @@ class HierarchyLis(_PositionalBase):
     @property
     def leaf_elements(self) -> int:
         """Elements held by the exact leaves under the active generations,
-        counting each copy; counted by a walk on every read."""
+        counting each copy: each grid level copies an element once per
+        distinct cell set covering its cell (3 of the 4 covering segments'
+        sets at m = 2).  Counted by a walk on every read."""
         return self._keyed.leaf_elements()
 
 

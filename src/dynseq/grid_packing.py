@@ -69,7 +69,12 @@ def non_conflicting(a: GridSegment, b: GridSegment) -> bool:
 
 
 class GridPacking:
-    """2m array packings (one per row and per column) over an m x m grid."""
+    """2m array packings (one per row and per column) over an m x m grid.
+
+    ``child_of[sid]`` is the index of segment sid's cell set among the
+    distinct ones, and ``cell_children[cell]`` the sorted indices of the
+    cell sets covering a cell: a grid level keeps one child per cell set.
+    """
 
     def __init__(self, m: int, kappa: float, family2: bool = True) -> None:
         if m < 1:
@@ -95,6 +100,15 @@ class GridPacking:
             self._by_top_right[row][col].append((s.id, r0 - 1, c0 - 1))
             for cell in s.cells():
                 self.cell_cover.setdefault(cell, []).append(s.id)
+        # one child per distinct cell set, numbered in first-seen order: the
+        # row segment [c, c] of row r covers the cell of the column segment
+        # [r, r] of column c; a segment's two corners fix its cell set
+        index: dict[tuple, int] = {}
+        self.child_of = [index.setdefault((s.bottom_left, s.top_right), len(index))
+                         for s in segs]
+        self.cell_children = {
+            cell: sorted({self.child_of[sid] for sid in sids})
+            for cell, sids in self.cell_cover.items()}
 
     def coverage_at(self, row: int, col: int) -> int:
         return len(self.cell_cover.get((row, col), ()))

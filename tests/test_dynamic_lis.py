@@ -400,11 +400,12 @@ def cursor_stream(ops, seed, hold=50):
 def checked_score(est):
     """An estimator's answer rebuilt from its leaves, asserting on the way
     that every active GridBlock answers chain_dp over all of its children's
-    fresh scores."""
+    fresh scores, one per segment, read through ``child_of``."""
     if isinstance(est, KeyedWrapped):
         est = est._wrapped.active
     if isinstance(est, GridBlock):
-        total, _ = est.grid.chain_dp([checked_score(c) for c in est.children])
+        scores = [checked_score(c) for c in est.children]
+        total, _ = est.grid.chain_dp([scores[c] for c in est.grid.child_of])
         assert est.query() == int(round(total))
         return est.query()
     if isinstance(est, KeyedNaiveBlock):
@@ -476,6 +477,36 @@ def test_leaf_elements_counts_every_copy():
     walk(eng._keyed)
     assert eng.leaf_elements == sum(map(len, leaves)) > 2 * len(eng)
     assert {k for leaf in leaves for k in leaf} == set(eng._elements.keys)
+
+
+def test_copy_count_gate_and_one_child_per_cell_set():
+    # a gate that may be tightened, never loosened: 41 copies per element
+    # here, 76 when every segment owned a child of its own
+    n = 1000
+    rng = random.Random(5)
+    eng = hierarchy_engine(0.5)
+    for i, v in enumerate(rng.sample(range(10 * n), n)):
+        eng.apply(ins(rng.randint(1, i + 1), v))
+    assert eng.leaf_elements <= 45 * n, eng.leaf_elements
+    blocks = 0
+
+    def walk(est):
+        nonlocal blocks
+        if isinstance(est, KeyedWrapped):
+            walk(est._wrapped.active)
+        elif isinstance(est, GridBlock):
+            blocks += 1
+            cell_sets = [set() for _ in est.children]
+            for s in est.grid.segments:
+                cell_sets[est.grid.child_of[s.id]].add(frozenset(s.cells()))
+            # each child covers one cell set, and no two the same one
+            assert all(len(sets) == 1 for sets in cell_sets)
+            assert len({sets.pop() for sets in cell_sets}) == len(est.children)
+            for child in est.children:
+                walk(child)
+
+    walk(eng._keyed)
+    assert blocks > 1
 
 
 @pytest.mark.parametrize("stream", ["uniform", "cursor"])

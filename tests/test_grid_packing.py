@@ -159,3 +159,26 @@ def test_segment_scores_match_cells():
     for s in g.segments:
         direct = sum(weights[r - 1][c - 1] for r, c in s.cells())
         assert scores[s.id] == direct == g.segment_score(s, weights)
+
+
+@pytest.mark.parametrize("kappa", [0.25, 0.4])
+@pytest.mark.parametrize("m", range(1, 9))
+def test_children_are_the_distinct_cell_sets(m, kappa):
+    g = build_grid_packing(m, kappa)
+    count = max(g.child_of) + 1
+    assert sorted(set(g.child_of)) == list(range(count))
+    cells = [None] * count
+    for s in g.segments:
+        mine = set(s.cells())
+        child = g.child_of[s.id]
+        # first-seen order: a new child takes the next index
+        if cells[child] is None:
+            assert child == sum(c is not None for c in cells)
+            cells[child] = mine
+        assert cells[child] == mine
+    assert all(a != b for a, b in itertools.combinations(cells, 2))
+    assert g.cell_children.keys() == g.cell_cover.keys()
+    for cell, sids in g.cell_cover.items():
+        assert g.cell_children[cell] == sorted({g.child_of[s] for s in sids})
+    if m == 2:
+        assert (len(g.segments), count) == (12, 8)
