@@ -78,43 +78,46 @@ def lis_extract(values: Sequence[int]) -> list[int]:
     return out
 
 
+def heaviest_increasing(keys: Sequence, weights: Sequence[int]) -> int:
+    """Maximum total weight of a strictly increasing run of ``keys``, item i
+    weighing ``weights[i]``: one sort to rank the keys, then one prefix-max
+    Fenwick pass, O(k log k).  Unchecked: keys must be distinct and weights
+    positive; ``weighted_his`` is the validating entry point."""
+    k = len(keys)
+    rank = [0] * k
+    for r, i in enumerate(sorted(range(k), key=keys.__getitem__), 1):
+        rank[i] = r
+    tree = [0] * (k + 1)
+    best = 0
+    for i in range(k):
+        r = rank[i]
+        j = r - 1
+        cur = 0
+        while j:
+            if tree[j] > cur:
+                cur = tree[j]
+            j &= j - 1
+        cur += weights[i]
+        while r <= k:
+            if tree[r] < cur:
+                tree[r] = cur
+            r += r & -r
+        if cur > best:
+            best = cur
+    return best
+
+
 def weighted_his(items: Sequence[tuple[int, int]]) -> int:
     """Maximum total weight of a strictly increasing subsequence of
     (value, weight) items, O(k log k) via a prefix-max Fenwick tree."""
-    k = len(items)
-    if k == 0:
-        return 0
-    for _, w in items:
+    keys = [v for v, _ in items]
+    weights = [w for _, w in items]
+    for w in weights:
         if w < 1:
             raise ValueError("weights must be >= 1")
-    order = sorted(set(v for v, _ in items))
-    if len(order) != k:
+    if len(set(keys)) != len(keys):
         raise ValueError("values must be distinct")
-    rank = {v: i + 1 for i, v in enumerate(order)}
-    tree = [0] * (k + 1)
-
-    def prefix_max(i: int) -> int:
-        best = 0
-        while i > 0:
-            if tree[i] > best:
-                best = tree[i]
-            i -= i & (-i)
-        return best
-
-    def update(i: int, val: int) -> None:
-        while i <= k:
-            if tree[i] < val:
-                tree[i] = val
-            i += i & (-i)
-
-    best_total = 0
-    for v, w in items:
-        r = rank[v]
-        cur = prefix_max(r - 1) + w
-        update(r, cur)
-        if cur > best_total:
-            best_total = cur
-    return best_total
+    return heaviest_increasing(keys, weights)
 
 
 def weighted_dtm(items: Sequence[tuple[int, int]]) -> int:

@@ -31,7 +31,7 @@ from operator import attrgetter, itemgetter
 from typing import Optional, Sequence
 
 from .block_scheduler import GeneratorBlock, wrap
-from .classic import lis_length, weighted_his
+from .classic import heaviest_increasing, lis_length, weighted_his
 from .indexed_sequence import INSERT, IndexedSeq, Node, Operation, Seq
 from .work import WorkMeter
 
@@ -153,31 +153,9 @@ class InversionMatching:
             items.append((a, 1, (a, 1, 0), b - a))
         # stable: matched elements of equal rho keep their label order
         items.sort(key=itemgetter(0, 1))
-        # the heaviest increasing run of keys, as ``weighted_his`` finds it
-        # but without its checks (keys are distinct, weights positive): rank
-        # the keys with one sort, then one prefix-max Fenwick pass
-        k = len(items)
-        keys = [item[2] for item in items]
-        rank = [0] * k
-        for r, i in enumerate(sorted(range(k), key=keys.__getitem__), 1):
-            rank[i] = r
-        tree = [0] * (k + 1)
-        best = 0
-        for i in range(k):
-            r = rank[i]
-            j = r - 1
-            cur = 0
-            while j:
-                if tree[j] > cur:
-                    cur = tree[j]
-                j &= j - 1
-            cur += items[i][3]
-            while r <= k:
-                if tree[r] < cur:
-                    tree[r] = cur
-                r += r & -r
-            if cur > best:
-                best = cur
+        # keys are distinct and weights positive: the unchecked core serves
+        best = heaviest_increasing([item[2] for item in items],
+                                   [item[3] for item in items])
         return len(matched) + nlen - best
 
 

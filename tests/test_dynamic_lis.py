@@ -496,12 +496,9 @@ def test_copy_count_gate_and_one_child_per_cell_set():
             walk(est._wrapped.active)
         elif isinstance(est, GridBlock):
             blocks += 1
-            cell_sets = [set() for _ in est.children]
-            for s in est.grid.segments:
-                cell_sets[est.grid.child_of[s.id]].add(frozenset(s.cells()))
-            # each child covers one cell set, and no two the same one
-            assert all(len(sets) == 1 for sets in cell_sets)
-            assert len({sets.pop() for sets in cell_sets}) == len(est.children)
+            # one child per distinct cell set (test_grid_packing checks
+            # that child_of indexes the distinct cell sets)
+            assert len(est.children) == max(est.grid.child_of) + 1
             for child in est.children:
                 walk(child)
 
