@@ -2,8 +2,8 @@
 monotone partitioning, with work-unit instrumentation throughout."""
 
 from .array_packing import ArrayPacking, ArraySegment, build_array_packing
-from .block_scheduler import (BlockAlgorithm, ContractViolationError,
-                              WrappedEstimator, wrap)
+from .block_scheduler import (ContractViolationError, GeneratorBlock,
+                              WrappedEstimator)
 from .exact_lis import ExactDynamicLis
 from .classic import (OracleScaleError, brute_dtm, brute_lis, levels,
                       lis_extract, lis_length, weighted_dtm, weighted_his)
@@ -27,7 +27,7 @@ from .work import WorkMeter
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArrayPacking", "ArraySegment", "BlockAlgorithm", "ExactDynamicLis",
+    "ArrayPacking", "ArraySegment", "ExactDynamicLis", "GeneratorBlock",
     "ContractViolationError", "CoverContractError", "DeadHandleError",
     "DtmDynamic", "DuplicateValueError", "GridLis", "GridPacking",
     "GridSegment", "HierarchyLis", "IndexedSeq", "InsertOnlyError",
@@ -41,5 +41,5 @@ __all__ = [
     "parse_stream", "partition_baseline", "partition_dynamic",
     "partition_is_valid", "precedes", "sequential_dtm", "serialize_stream",
     "sqrt_engine", "stack_matching", "table_score", "weighted_dtm",
-    "weighted_his", "wrap",
+    "weighted_his",
 ]

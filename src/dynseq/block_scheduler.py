@@ -1,13 +1,14 @@
-"""Deamortization of block-based algorithms.
+"""Deamortization of block-based algorithms (global rebuilding).
 
-A block-based algorithm preprocesses the array as it stands when the block
-is built (resumably, in small quanta), then serves a bounded number of
-operations at a bounded per-operation cost.  ``wrap`` chains such blocks
-into a continuously running estimator: when the active block has consumed
-9/10 of its capacity a successor is built and starts preprocessing, spread
-over the next tenth; operations arriving meanwhile are buffered and
-replayed to the successor at two per step, so the successor is caught up
-exactly when the active block's capacity runs out.
+A block is one generation of an estimator: it preprocesses the array as it
+stands when it is built (resumably, in small quanta), then serves a bounded
+number of operations at a bounded per-operation cost.  A
+``WrappedEstimator`` chains such blocks into a continuously running
+estimator: when the active block has consumed 9/10 of its capacity a
+successor is built and starts preprocessing, spread over the next tenth;
+operations arriving meanwhile are buffered and replayed to the successor at
+two per step, so the successor is caught up exactly when the active block's
+capacity runs out.
 
 A block may instead continue into the next generation itself: when the
 active block reports (``continuation``) that its live state already is what
@@ -39,26 +40,41 @@ class ContractViolationError(RuntimeError):
     successor finished preprocessing, indicating a relativity breach)."""
 
 
-class BlockAlgorithm:
-    """Behavioral contract for one block generation.
+class GeneratorBlock:
+    """One block generation, the base of every block.
 
-    Lifecycle: construct over the array, drive ``preprocess_step`` until it
-    reports completion, then serve up to ``capacity()`` operations.
-    ``work_estimate()`` declares the preprocessing size used to compute the
-    per-step quantum, in the units ``preprocess_step`` spends (yields, for
-    a ``GeneratorBlock``); a successor whose estimate falls short is not
-    ready at handover.
+    Lifecycle: construct over the array, drive ``preprocess_step`` until
+    ``done``, then serve up to ``capacity`` operations.  A block sets
+    ``capacity`` and ``work``, the yields its ``preprocess_gen`` may take,
+    when it is built; the scheduler paces a successor by ``work``, so one
+    whose preprocessing yields more often is not ready at handover.  A
+    block with nothing to preprocess sets ``done`` when it is built and is
+    never stepped.
     """
 
-    def capacity(self) -> int:
-        raise NotImplementedError
+    capacity: int
+    work = 0
 
-    def work_estimate(self) -> int:
+    def __init__(self) -> None:
+        self._gen: Optional[Iterator[None]] = None
+        self.done = False
+
+    def preprocess_gen(self) -> Iterator[None]:
         raise NotImplementedError
 
     def preprocess_step(self, budget: int) -> bool:
-        """Run up to ``budget`` preprocessing units; True when done."""
-        raise NotImplementedError
+        """Run up to ``budget`` preprocessing yields; returns ``done``."""
+        if self.done:
+            return True
+        if self._gen is None:
+            self._gen = self.preprocess_gen()
+        try:
+            for _ in range(budget):
+                next(self._gen)
+        except StopIteration:
+            self.done = True
+            self._gen = None
+        return self.done
 
     def apply(self, op: Operation, ctx: Any) -> None:
         raise NotImplementedError
@@ -69,38 +85,13 @@ class BlockAlgorithm:
     def extract(self):
         raise NotImplementedError("this block algorithm has no witness")
 
-    def continuation(self) -> Optional["BlockAlgorithm"]:
+    def continuation(self) -> Optional["GeneratorBlock"]:
         """The next generation, over the array as it stands now, when it can
         run on this block's live state: every operation the active block
         applies from here on reaches it too, so it needs no preprocessing and
         no replay.  None (the default) has the factory build the
         successor."""
         return None
-
-
-class GeneratorBlock(BlockAlgorithm):
-    """Convenience base: preprocessing written as a generator that yields
-    once per unit of work."""
-
-    def __init__(self) -> None:
-        self._gen: Optional[Iterator[None]] = None
-        self._done = False
-
-    def preprocess_gen(self) -> Iterator[None]:
-        raise NotImplementedError
-
-    def preprocess_step(self, budget: int) -> bool:
-        if self._done:
-            return True
-        if self._gen is None:
-            self._gen = self.preprocess_gen()
-        try:
-            for _ in range(budget):
-                next(self._gen)
-        except StopIteration:
-            self._done = True
-            self._gen = None
-        return self._done
 
 
 SYNC_BASE_LEN = 32    # below this array size, preprocess synchronously
@@ -110,20 +101,20 @@ SYNC_BASE_CAP = 20    # below this capacity, build the successor synchronously
 class WrappedEstimator:
     """Dynamic estimator built from a block-algorithm factory.
 
-    ``factory()`` must return a fresh BlockAlgorithm over the array as the
+    ``factory()`` must return a fresh GeneratorBlock over the array as the
     mirror holds it at the call.  At most two instances are ever alive.
     ``generations_rebuilt`` and ``generations_continued`` count the
     handovers to a successor built by the factory and to a continuation.
     """
 
-    def __init__(self, factory: Callable[[], BlockAlgorithm], mirror) -> None:
+    def __init__(self, factory: Callable[[], GeneratorBlock], mirror) -> None:
         self.factory = factory
         self.mirror = mirror
         self.live_instances = 0
         self.max_live_instances = 0
-        self._active: Optional[BlockAlgorithm] = None
+        self._active: Optional[GeneratorBlock] = None
         self._active_used = 0
-        self._warming: Optional[BlockAlgorithm] = None
+        self._warming: Optional[GeneratorBlock] = None
         self._continuing = False   # _warming shares the active block's state
         self._warm_quantum = 0
         self._warm_applied = 0
@@ -136,8 +127,8 @@ class WrappedEstimator:
         # first generation: preprocessed on the spot, charged to the caller
         inst = self.factory()
         self._alive(+1)
-        while not inst.preprocess_step(max(64, inst.work_estimate())):
-            pass
+        while not inst.done:
+            inst.preprocess_step(max(64, inst.work))
         self._active = inst
 
     def _begin_warming(self) -> None:
@@ -150,15 +141,15 @@ class WrappedEstimator:
         self._buffer = deque()
         inst = self.factory()
         self._alive(+1)
-        g = self._active.capacity()
+        g = self._active.capacity
         if g < SYNC_BASE_CAP or len(self.mirror) < SYNC_BASE_LEN:
             # degenerate/tiny generations: finish preprocessing on the spot
-            while not inst.preprocess_step(max(64, inst.work_estimate())):
-                pass
+            while not inst.done:
+                inst.preprocess_step(max(64, inst.work))
             self._warm_quantum = 0
         else:
             pieces = max(1, g // 20)
-            self._warm_quantum = -(-inst.work_estimate() // pieces)
+            self._warm_quantum = -(-inst.work // pieces)
         self._warming = inst
 
     def _alive(self, delta: int) -> None:
@@ -169,7 +160,7 @@ class WrappedEstimator:
     # -- estimator surface ----------------------------------------------------
 
     @property
-    def active(self) -> BlockAlgorithm:
+    def active(self) -> GeneratorBlock:
         return self._active
 
     def apply(self, op: Operation):
@@ -178,15 +169,15 @@ class WrappedEstimator:
         ctx = self.mirror.apply(op)
         self._active.apply(op, ctx)
         self._active_used += 1
-        g = self._active.capacity()
+        g = self._active.capacity
         if self._warming is not None:
             if self._continuing:
                 self._warm_applied += 1
             else:
                 self._buffer.append((op, ctx))
-                if self._warm_quantum:
+                if not self._warming.done:
                     self._warming.preprocess_step(self._warm_quantum)
-                if self._warming.preprocess_step(0):
+                if self._warming.done:
                     drained = 0
                     while self._buffer and drained < 2:
                         b_op, b_ctx = self._buffer.popleft()
@@ -206,7 +197,7 @@ class WrappedEstimator:
             self._continuing = False
             self.generations_continued += 1
         else:
-            if not self._warming.preprocess_step(0):
+            if not self._warming.done:
                 raise ContractViolationError(
                     "successor not preprocessed at handover; relativity breach?")
             while self._buffer:
@@ -228,6 +219,3 @@ class WrappedEstimator:
     def extract(self):
         return self._active.extract()
 
-
-def wrap(factory: Callable[[], BlockAlgorithm], mirror) -> WrappedEstimator:
-    return WrappedEstimator(factory, mirror)

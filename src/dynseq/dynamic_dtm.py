@@ -30,7 +30,7 @@ from bisect import bisect_left
 from operator import attrgetter, itemgetter
 from typing import Optional, Sequence
 
-from .block_scheduler import GeneratorBlock, wrap
+from .block_scheduler import GeneratorBlock, WrappedEstimator
 from .classic import heaviest_increasing, lis_length, weighted_his
 from .indexed_sequence import INSERT, IndexedSeq, Node, Operation, Seq
 from .work import WorkMeter
@@ -142,7 +142,7 @@ class InversionMatching:
             v = h.value
             # unmatched elements before h, and below it in value
             rho = tn.rank_after(h.label) - 1
-            sigma = tn.rank_first_value_gt(v) - 1
+            sigma = tn.value_neighbours(v)[0] - 1
             if rho != sigma:
                 cuts.add(rho)
                 cuts.add(sigma)
@@ -277,24 +277,15 @@ class _DtmBlock(GeneratorBlock):
 
     def __init__(self, matching: InversionMatching, epsilon: float) -> None:
         super().__init__()
-        # computed here, when the successor is built, in O(k log n):
-        # spreading it across the generation would need a frozen copy of
-        # the matching, since the live one keeps moving, and none is kept;
-        # so this step, not the plain updates, sets the worst-case update
-        # time
+        # computed here, when the successor is built, in O(k log n), so the
+        # block is built done: spreading it across the generation would need
+        # a frozen copy of the matching, since the live one keeps moving,
+        # and none is kept; so this step, not the plain updates, sets the
+        # worst-case update time
+        self.done = True
         self.d = matching.exact_dtm()
         self.a = 0
-        self._cap = max(1, math.floor(epsilon * self.d / (1.0 + epsilon)))
-
-    def capacity(self) -> int:
-        return self._cap
-
-    def work_estimate(self) -> int:
-        # the one yield below; zero would give a paced successor no quantum
-        return 1
-
-    def preprocess_gen(self):
-        yield
+        self.capacity = max(1, math.floor(epsilon * self.d / (1.0 + epsilon)))
 
     def apply(self, op: Operation, ctx) -> None:
         if op.kind == INSERT:
@@ -320,7 +311,8 @@ class DtmDynamic:
         self.meter = meter if meter is not None else WorkMeter()
         # the factory closes over the local, not self: no reference cycle
         matching = self.matching = InversionMatching(meter=self.meter, seed=seed)
-        self._wrapped = wrap(lambda: _DtmBlock(matching, epsilon), matching)
+        self._wrapped = WrappedEstimator(
+            lambda: _DtmBlock(matching, epsilon), matching)
 
     def __len__(self) -> int:
         return len(self.matching)

@@ -29,7 +29,7 @@ from bisect import bisect_left, bisect_right
 from itertools import islice
 from typing import Any, Optional
 
-from .block_scheduler import BlockAlgorithm, GeneratorBlock, wrap
+from .block_scheduler import GeneratorBlock, WrappedEstimator
 from .classic import lis_extract, lis_length
 from .exact_lis import ExactDynamicLis
 from .grid_packing import GridPacking
@@ -153,26 +153,19 @@ class KeyedNaive:
         return len(self.keys)
 
 
-class KeyedNaiveBlock(BlockAlgorithm):
+class KeyedNaiveBlock(GeneratorBlock):
     """Exact block generation used when its engine is below the cutoff.
 
     It answers from its engine's mirror, ``inner``: the active generation
     has applied every operation the mirror has, and a successor is not
-    queried before its handover.  So it preprocesses and replays nothing.
+    queried before its handover.  So it is built done and replays nothing.
     """
 
     def __init__(self, mirror: KeyedNaive) -> None:
+        super().__init__()
+        self.done = True
         self.inner = mirror
-        self._cap = max(16, (len(mirror) + 1) // 2)
-
-    def capacity(self) -> int:
-        return self._cap
-
-    def work_estimate(self) -> int:
-        return 0
-
-    def preprocess_step(self, budget: int) -> bool:
-        return True
+        self.capacity = max(16, (len(mirror) + 1) // 2)
 
     def apply(self, token, ctx) -> None:
         pass
@@ -216,15 +209,15 @@ class GridBlock(GeneratorBlock):
         self.level = level
         self.ctx = ctx
         n = len(snap[0])
-        self.n0 = n
         if ctx.m_override is not None:
             self.m = ctx.m_override
         else:
             self.m = max(2, int(n ** (1.0 / (level + 2))))
         # capacity follows n^((k+1)/(k+2)) but never exceeds the per-column
         # budget n/m, which clamping m to small integers can undercut
-        self._cap = max(1, min(math.ceil(n ** ((level + 1.0) / (level + 2.0))),
-                               n // self.m))
+        self.capacity = max(1, min(
+            math.ceil(n ** ((level + 1.0) / (level + 2.0))), n // self.m))
+        self.work = max(64, 4 * n + 2 * self.m * self.m)
         self.thresholds: list = []
         self.col_bounds: list = []
         self.col_sizes: list[int] = []
@@ -235,12 +228,6 @@ class GridBlock(GeneratorBlock):
         self._touched: list = []   # child-index lists applied since the last query
         self._cached = 0
         self._chain: list[int] = []
-
-    def capacity(self) -> int:
-        return self._cap
-
-    def work_estimate(self) -> int:
-        return max(64, 4 * self.n0 + 2 * self.m * self.m)
 
     def preprocess_gen(self):
         keys, values = self.snap
@@ -380,22 +367,22 @@ class GridBlock(GeneratorBlock):
         return sum(child.leaf_elements() for child in self.children)
 
 
-class KeyedWrapped:
+class KeyedWrapped(WrappedEstimator):
     """Keyed estimator running GridBlock / KeyedNaiveBlock generations over
-    a ``KeyedNaive`` mirror of its elements."""
+    a ``KeyedNaive`` mirror of its elements; ``apply`` takes one
+    (kind, key, value) token."""
 
     def __init__(self, level: int, keys: list, values: list,
                  ctx: EngineContext) -> None:
         self.ctx = ctx
         self.level = level
-        self.mirror = KeyedNaive(keys, values, ctx)
-        # the factory is a bound method, so the scheduler refers back to
-        # this estimator: the two form a reference cycle, and retired
-        # engines are freed by the cyclic collector rather than inline
-        # (inline freeing measured slower on partitioning, for less memory)
-        self._wrapped = wrap(self._block, self.mirror)
+        # the factory is a bound method, so the estimator refers to itself:
+        # it forms a reference cycle, and retired engines are freed by the
+        # cyclic collector rather than inline (inline freeing measured
+        # slower on partitioning, for less memory)
+        super().__init__(self._block, KeyedNaive(keys, values, ctx))
 
-    def _block(self) -> BlockAlgorithm:
+    def _block(self) -> GeneratorBlock:
         mirror = self.mirror
         if _exact(self.level, len(mirror), self.ctx):
             return KeyedNaiveBlock(mirror)
@@ -403,21 +390,11 @@ class KeyedWrapped:
         return GridBlock((list(mirror.keys), list(mirror.values)),
                          self.level, self.ctx)
 
-    def apply(self, token) -> None:
-        """One (kind, key, value) operation."""
-        self._wrapped.apply(token)
-
-    def query(self) -> int:
-        return self._wrapped.query()
-
-    def extract(self):
-        return self._wrapped.extract()
-
     def describe(self) -> list[tuple[int, int]]:
-        return self._wrapped.active.describe()
+        return self.active.describe()
 
     def leaf_elements(self) -> int:
-        return self._wrapped.active.leaf_elements()
+        return self.active.leaf_elements()
 
 
 def make_keyed_engine(level: int, keys: list, values: list, ctx: EngineContext):
@@ -519,11 +496,15 @@ class SqrtBlock(GeneratorBlock):
         self.epsilon = epsilon
         self.mirror = mirror
         self.seed = seed
-        self.n0 = len(mirror)
-        self._cap = max(1, math.isqrt(self.n0))
-        if self._cap * self._cap < self.n0:
-            self._cap += 1
-        self.tau = math.ceil((2.0 / epsilon + 1.0) * math.sqrt(self.n0))
+        n0 = len(mirror)
+        self.capacity = max(1, math.isqrt(n0))
+        if self.capacity * self.capacity < n0:
+            self.capacity += 1
+        self.tau = math.ceil((2.0 / epsilon + 1.0) * math.sqrt(n0))
+        # the pass yields n0 // 64 times; then the frozen branch's witness
+        # walk at most r0 // 64 <= n0 // 64 times, or the exact branch's
+        # seeding at most 2 * (n0 // 64) + r0 times, with r0 < tau
+        self.work = 3 * (n0 // 64) + self.tau + 1
         self.i = 0
         self.r0 = 0
         self.witness: dict = {}   # values in witness order, O(1) removal
@@ -531,16 +512,7 @@ class SqrtBlock(GeneratorBlock):
         self.exact = exact
         self.branch = "" if exact is None else "exact"
         self.snap = mirror.snapshot() if exact is None else None
-        self._done = exact is not None
-
-    def capacity(self) -> int:
-        return self._cap
-
-    def work_estimate(self) -> int:
-        # the pass yields n0 // 64 times; then the frozen branch's witness
-        # walk at most r0 // 64 <= n0 // 64 times, or the exact branch's
-        # seeding at most 2 * (n0 // 64) + r0 times, with r0 < tau
-        return 3 * (self.n0 // 64) + self.tau + 1
+        self.done = exact is not None
 
     def preprocess_gen(self):
         meter = self.mirror.meter
@@ -632,7 +604,7 @@ class SqrtLis:
         # IndexedSeq XORs its seed with 0x1D5EC, so this draws priorities
         # from Random(seed ^ 0x9E3779B9), apart from the exact backing's
         mirror = IndexedSeq(meter=self.meter, seed=seed ^ 0x9E3779B9 ^ 0x1D5EC)
-        self._wrapped = wrap(
+        self._wrapped = WrappedEstimator(
             lambda: SqrtBlock(epsilon, mirror, seed=seed), mirror)
 
     def __len__(self) -> int:
@@ -679,6 +651,12 @@ class HierarchyLis(_PositionalBase):
 
     def _build(self, depth: int, kappa: float, meter: Optional[WorkMeter],
                cutoff: int, m_override: Optional[int] = None) -> None:
+        # a grid level needs an element per column: it is built over at
+        # least ``cutoff`` elements, into m <= cutoff columns
+        if cutoff < 2:
+            raise ValueError("cutoff must be at least 2")
+        if m_override is not None and not 1 <= m_override <= cutoff:
+            raise ValueError("m_override must lie in [1, cutoff]")
         super().__init__(meter)
         self.depth = depth
         self.kappa = kappa

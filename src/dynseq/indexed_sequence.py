@@ -327,25 +327,11 @@ class Seq:
         self.meter.ticks += ticks
         return acc + 1
 
-    def rank_first_value_gt(self, v) -> int:
-        """First rank whose value is above v; assumes values ascend along
-        the sequence (the unmatched-element tree of the DTM matching)."""
-        t = self.root
-        acc = 0     # elements before the rank sought
-        ticks = 0
-        while t is not None:
-            ticks += 1
-            if t.value > v:
-                t = t.left
-            else:
-                acc += (t.left.size if t.left is not None else 0) + 1
-                t = t.right
-        self.meter.ticks += ticks
-        return acc + 1
-
     def value_neighbours(self, v) -> tuple[int, Optional[Node], Optional[Node]]:
-        """``rank_first_value_gt(v)`` with the nodes just before and at that
-        rank (None past either end), which its descent passes through."""
+        """First rank whose value is above v, with the nodes just before and
+        at that rank (None past either end), which its descent passes
+        through; assumes values ascend along the sequence (the
+        unmatched-element tree of the DTM matching)."""
         t = self.root
         acc = 0
         ticks = 0
@@ -676,20 +662,12 @@ class IndexedSeq:
         finally:
             self._snap = None
 
-    def _check(self, op: Operation) -> None:
-        _check_op(op, len(self), self._values)
-
     def apply(self, op: Operation):
         """Apply one operation. Returns the new handle for an insert, the
-        removed value for a delete."""
-        if op.kind == INSERT:
-            self._check(op)
-            return self._insert_checked(op)
-        return self._pop(op).value
-
-    def _insert_checked(self, op: Operation) -> Node:
-        """Insert ``op``, which the caller has already passed through
-        ``_check``; returns the new handle."""
+        removed value for a delete; a rejected one changes nothing."""
+        if op.kind != INSERT:
+            return self._pop(op).value
+        _check_op(op, len(self), self._values)
         self._values.add(op.value)
         node = Node(op.value, self._seq.rng.random())
         pred, succ = self._seq._attach(op.position, node)
@@ -743,7 +721,7 @@ class IndexedSeq:
     def _pop(self, op: Operation) -> Node:
         """Check and apply a delete, with no separate lookup of the handle;
         returns the removed node, which is the element's handle."""
-        self._check(op)
+        _check_op(op, len(self), self._values)
         seq = self._seq
         node = seq.node_at(op.position)
         if self._snap is not None:

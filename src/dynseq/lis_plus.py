@@ -64,11 +64,11 @@ class LisPlus:
         self.insert(op.position, op.value)
 
     def insert(self, pos: int, value) -> None:
-        # checked once, before _pump, so that a rejected insert changes nothing
-        op = Operation(INSERT, pos, value)
-        self.backing._check(op)
+        # inserted before _pump, so that a rejected insert changes nothing;
+        # the merges _pump advances compare order labels, which the insert
+        # and its relabels leave in sequence order
+        h = self.backing.insert(pos, value)
         self._pump()
-        h = self.backing._insert_checked(op)
         unit = Bucket(1, [h], Bucket.FINAL, lis_value=1)
         self.finalized.setdefault(1, []).append(unit)
         self._start_merges()

@@ -92,6 +92,13 @@ def test_engine_validation():
         sqrt_engine(0.0)
     with pytest.raises(ValueError):
         hierarchy_engine(1.5)
+    # a grid level needs an element per column
+    for make in (lambda: grid_engine(0.5, cutoff=0),
+                 lambda: hierarchy_engine(0.5, cutoff=1),
+                 lambda: grid_engine(0.5, m_override=0),
+                 lambda: grid_engine(0.5, cutoff=24, m_override=25)):
+        with pytest.raises(ValueError):
+            make()
 
 
 def test_sqrt_ratio_every_step():
@@ -402,7 +409,7 @@ def checked_score(est):
     that every active GridBlock answers chain_dp over all of its children's
     fresh scores, one per segment, read through ``child_of``."""
     if isinstance(est, KeyedWrapped):
-        est = est._wrapped.active
+        est = est.active
     if isinstance(est, GridBlock):
         scores = [checked_score(c) for c in est.children]
         total, _ = est.grid.chain_dp([scores[c] for c in est.grid.child_of])
@@ -465,7 +472,7 @@ def test_leaf_elements_counts_every_copy():
 
     def walk(est):
         if isinstance(est, KeyedWrapped):
-            walk(est._wrapped.active)
+            walk(est.active)
         elif isinstance(est, GridBlock):
             for child in est.children:
                 walk(child)
@@ -493,7 +500,7 @@ def test_copy_count_gate_and_one_child_per_cell_set():
     def walk(est):
         nonlocal blocks
         if isinstance(est, KeyedWrapped):
-            walk(est._wrapped.active)
+            walk(est.active)
         elif isinstance(est, GridBlock):
             blocks += 1
             # one child per distinct cell set (test_grid_packing checks
@@ -529,7 +536,7 @@ def test_top_mirror_is_the_array(make, stream):
         for pos, value in eng.extract():
             assert shadow[pos - 1] == value
     # the stream crossed warm-ups and handovers of the top engine
-    assert eng._keyed._wrapped.generations_rebuilt > 2
+    assert eng._keyed.generations_rebuilt > 2
 
 
 def test_hierarchy_top_engine_crosses_the_cutoff_both_ways():
@@ -550,7 +557,7 @@ def test_hierarchy_top_engine_crosses_the_cutoff_both_ways():
             shadow.insert(op.position - 1, op.value)
         else:
             shadow.pop(op.position - 1)
-        active = eng._keyed._wrapped.active
+        active = eng._keyed.active
         phase = "exact" if isinstance(active, KeyedNaiveBlock) else "grid"
         if not phases or phases[-1] != phase:
             phases.append(phase)
@@ -576,7 +583,7 @@ def test_only_grid_generations_copy_the_mirror(monkeypatch):
     # mirror's lists when it is built and drops the copy once its children
     # are seeded
     eng = hierarchy_engine(0.5)
-    wrapped = eng._keyed._wrapped
+    wrapped = eng._keyed
     mirror = eng._keyed.mirror
     grids = []
     grid_init = GridBlock.__init__

