@@ -24,7 +24,10 @@ The scheduler reads the array through a mirror, which offers ``len`` and
 with the operation).  A block reads what it needs from the mirror when it
 is built; one that reads the array while it warms opens the mirror's
 snapshot (``IndexedSeq.snapshot``), which walks the array as it stood at
-the opening while the mirror keeps moving.
+the opening while the mirror keeps moving.  That mirror's context is the
+element's handle, for a delete the removed one, which stays in the tree as
+a tombstone until the snapshot closes, so a successor can still order it
+when it replays the delete.
 """
 
 from __future__ import annotations
@@ -164,8 +167,9 @@ class WrappedEstimator:
         return self._active
 
     def apply(self, op: Operation):
-        """Feed one operation; returns the mirror's op context (for deletes,
-        the removed value where the mirror tracks content)."""
+        """Feed one operation; returns the mirror's op context (an
+        ``IndexedSeq``'s is the element's handle, for a delete the removed
+        one)."""
         ctx = self.mirror.apply(op)
         self._active.apply(op, ctx)
         self._active_used += 1

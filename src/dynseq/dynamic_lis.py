@@ -475,13 +475,15 @@ class SqrtBlock(GeneratorBlock):
     otherwise run the exact level structure live, whose update cost stays
     near sqrt(n) because the LIS remains small for the whole generation.
 
-    Preprocessing makes one patience pass over that snapshot with a pile and
-    a back-pointer per element, yielding every 64 elements; the block drops
-    the walk as the pass starts, and the snapshot closes as it ends.  The
+    Preprocessing makes one patience pass over the snapshot's handles with
+    a pile and a back-pointer each, yielding every 64; the block drops the
+    walk as the pass starts, and the next generation's build closes the
+    snapshot, once this block has replayed every buffered update.  The
     frozen branch walks the witness back from the last pile and keeps its
     values, distinct among live elements: a delete pops the one the mirror
     removed, and ``extract`` places them by one walk of the live mirror.
-    The exact branch seeds its levels from the piles.
+    The exact branch seeds its levels with the handles, and each update
+    passes on the mirror's handle (``ctx``).
 
     An exact generation whose live LIS, when the next generation is due, is
     still below that generation's threshold continues on the same level
@@ -493,6 +495,7 @@ class SqrtBlock(GeneratorBlock):
     def __init__(self, epsilon: float, mirror: IndexedSeq, seed: int = 0,
                  exact: Optional[ExactDynamicLis] = None) -> None:
         super().__init__()
+        mirror.close_snapshot()
         self.epsilon = epsilon
         self.mirror = mirror
         self.seed = seed
@@ -517,24 +520,25 @@ class SqrtBlock(GeneratorBlock):
     def preprocess_gen(self):
         meter = self.mirror.meter
         walk, self.snap = self.snap, None
-        values: list = []
-        piles: list = []   # per element: its pile, 1-based
+        handles: list = []
+        piles: list = []   # per handle: its pile, 1-based
         tails: list = []   # top value of each patience pile
         tops: list = []    # its index
-        back: list = []    # per element: the top index of the previous pile
-        for v in walk:
+        back: list = []    # per handle: the top index of the previous pile
+        for h in walk:
+            v = h.value
             i = bisect_left(tails, v)
             meter.ticks += 1 + max(1, len(tails).bit_length())
             back.append(tops[i - 1] if i else -1)
             piles.append(i + 1)
             if i == len(tails):
                 tails.append(v)
-                tops.append(len(values))
+                tops.append(len(handles))
             else:
                 tails[i] = v
-                tops[i] = len(values)
-            values.append(v)
-            if len(values) % 64 == 0:
+                tops[i] = len(handles)
+            handles.append(h)
+            if len(handles) % 64 == 0:
                 yield
         r = len(tails)
         self.r0 = r
@@ -543,7 +547,7 @@ class SqrtBlock(GeneratorBlock):
             chain = []
             j = tops[-1] if tops else -1
             while j >= 0:
-                chain.append(values[j])
+                chain.append(handles[j].value)
                 j = back[j]
                 meter.ticks += 1
                 if len(chain) % 64 == 0:
@@ -551,8 +555,8 @@ class SqrtBlock(GeneratorBlock):
             self.witness = dict.fromkeys(reversed(chain))
         else:
             self.branch = "exact"
-            self.exact = ExactDynamicLis(meter=meter, seed=self.seed)
-            for _ in self.exact.seed_steps(values, piles):
+            self.exact = ExactDynamicLis(None, meter=meter, seed=self.seed)
+            for _ in self.exact.seed_steps(self.mirror, handles, piles):
                 yield
 
     def continuation(self) -> Optional["SqrtBlock"]:
@@ -565,11 +569,11 @@ class SqrtBlock(GeneratorBlock):
         self.i += 1
         if self.branch == "frozen":
             if op.kind != INSERT:
-                self.witness.pop(ctx, None)
+                self.witness.pop(ctx.value, None)
         elif op.kind == INSERT:
-            self.exact.insert(op.position, op.value)
+            self.exact.insert_handle(ctx)
         else:
-            self.exact.delete(op.position)
+            self.exact.delete_handle(ctx)
 
     def query(self) -> int:
         if self.branch == "frozen":
@@ -602,7 +606,7 @@ class SqrtLis:
         self.epsilon = epsilon
         self.meter = meter if meter is not None else WorkMeter()
         # IndexedSeq XORs its seed with 0x1D5EC, so this draws priorities
-        # from Random(seed ^ 0x9E3779B9), apart from the exact backing's
+        # from Random(seed ^ 0x9E3779B9)
         mirror = IndexedSeq(meter=self.meter, seed=seed ^ 0x9E3779B9 ^ 0x1D5EC)
         self._wrapped = WrappedEstimator(
             lambda: SqrtBlock(epsilon, mirror, seed=seed), mirror)

@@ -8,10 +8,10 @@ An insertion places the new element at its level and then, per level above,
 promotes one contiguous (by value) interval of elements to the next level;
 a deletion mirrors this with one demoted interval per level.  Intervals are
 moved between level trees by split/join, so the cost per affected level is
-a bounded number of tree searches.  The searches order elements by the
-backing sequence's order labels, one comparison each, so an update looks
-up no positions; only ``extract`` and ``levels_snapshot`` turn handles into
-positions, for their output.
+a bounded number of tree searches.  The levels hold the handles of a
+backing ``IndexedSeq`` and the searches order them by its order labels,
+one comparison each, so an update looks up no positions; only ``extract``
+and ``levels_snapshot`` turn handles into positions, for their output.
 
 The demotion procedure is derived symmetrically from the promotion rule
 (an element falls exactly when no surviving element one level down is
@@ -26,42 +26,51 @@ from bisect import bisect_left, bisect_right
 from typing import Iterator, Optional
 
 from . import classic
-from .indexed_sequence import DELETE, IndexedSeq, Operation, Seq
+from .indexed_sequence import DELETE, IndexedSeq, Node, Operation, Seq
 from .work import WorkMeter
 
 
 class ExactDynamicLis:
-    """Exact LIS under positional inserts and deletes."""
+    """Exact LIS over the handles of a backing ``IndexedSeq``.
+
+    ``insert_handle`` and ``delete_handle`` take the handle the backing's
+    ``apply`` returned; a deleted one must still be ordered, so unlinked in
+    the same step or a tombstone.  Built from ``values``, the structure owns
+    its backing, which ``insert`` and ``delete`` update by position; built
+    from None, it has none until ``seed_steps``."""
 
     def __init__(self, values=(), meter: Optional[WorkMeter] = None,
                  seed: int = 0) -> None:
         self.meter = meter if meter is not None else WorkMeter()
         self._rng = random.Random(seed ^ 0xC4E2)
-        self._seed = seed
-        self.backing = IndexedSeq(meter=self.meter, seed=seed)
+        self.backing: Optional[IndexedSeq] = None
         self.levels: list[Seq] = []
         self.merge_fallbacks = 0
+        if values is None:
+            return
         values = list(values)
         piles = classic.levels(values)   # one patience pass, charged here
         self.meter.ticks += len(values) * max(1, max(piles, default=0).bit_length())
-        for _ in self.seed_steps(values, piles):
+        backing = IndexedSeq(meter=self.meter, seed=seed)
+        for _ in self.seed_steps(backing, list(backing._load(values)), piles):
             pass
 
-    def seed_steps(self, values: list, piles: list) -> Iterator[None]:
-        """Resumable bulk construction from each element's 1-based patience
-        pile (``classic.levels``), which is its level: one yield per 64
-        elements placed in the backing sequence and grouped by level, then
-        per 64 elements of each level tree and once after each, so at most
-        2 * (n // 64) + (number of levels) yields."""
-        n = len(values)
+    def seed_steps(self, backing: IndexedSeq, handles: list,
+                   piles: list) -> Iterator[None]:
+        """Resumable bulk construction over ``backing`` from its ``handles``
+        in sequence order and each one's 1-based patience pile
+        (``classic.levels``), which is its level: one yield per 64 handles
+        grouped by level, then per 64 elements of each level tree and once
+        after each, so at most 2 * (n // 64) + (number of levels) yields."""
+        self.backing = backing
+        n = len(handles)
         if n == 0:
             return
         meter = self.meter
-        self.backing = IndexedSeq(meter=meter, seed=self._seed)
         groups: list[list] = [[] for _ in range(max(piles))]
         # index order means each level receives values in descending order
-        for i, node in enumerate(self.backing._load(values)):
-            groups[piles[i] - 1].append((node.value, node))
+        for i, h in enumerate(handles):
+            groups[piles[i] - 1].append((h.value, h))
             if i % 64 == 63:
                 meter.ticks += 64
                 yield
@@ -107,7 +116,13 @@ class ExactDynamicLis:
     # -- updates -------------------------------------------------------------
 
     def insert(self, pos: int, value) -> None:
-        h = self.backing.insert(pos, value)
+        self.insert_handle(self.backing.insert(pos, value))
+
+    def delete(self, pos: int) -> None:
+        self.delete_handle(self.backing.apply(Operation(DELETE, pos)))
+
+    def insert_handle(self, h: Node) -> None:
+        value = h.value
         lev = self._level_for(h.label, value)
         carry = self._new_seq()
         carry.insert(1, value, extra=h)
@@ -125,10 +140,7 @@ class ExactDynamicLis:
             carry = out
             k += 1
 
-    def delete(self, pos: int) -> None:
-        # the removed handle keeps its label, which still orders it against
-        # every live element
-        h = self.backing._pop(Operation(DELETE, pos))
+    def delete_handle(self, h: Node) -> None:
         value = h.value
         lev = self._level_for(h.label, value)
         lvl = self.levels[lev - 1]

@@ -15,12 +15,14 @@ the smallest aligned label range around it that is sparse enough is spread
 out evenly (Bender, Cole, Demaine, Farach-Colton & Zito, "Two simplified
 algorithms for maintaining order in a list", ESA 2002): O(log n) relabelled
 nodes per insert, amortized.  Every node walked or relabelled is charged.
+
+While an ``IndexedSeq`` snapshot is open, a delete leaves its node in the
+tree, dead, as a tombstone that keeps its place and so its label's order.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional
 
@@ -88,13 +90,14 @@ def dele(position: int) -> Operation:
 class Node:
     """Treap node; also the stable handle returned to callers.
 
-    ``label`` is the order label of an ``IndexedSeq`` handle and unused in
-    other trees.  It is a slot of every node, not of a subclass, because
-    the tree code serves every tree, and CPython's attribute-read
+    ``live`` is 1, or 0 once the node is deleted: a dead node counts in no
+    size.  ``label`` is the order label of an ``IndexedSeq`` handle and
+    unused in other trees.  It is a slot of every node, not of a subclass,
+    because the tree code serves every tree, and CPython's attribute-read
     specialization slows that code down when it sees two node types."""
 
     __slots__ = ("value", "extra", "prio", "size", "left", "right", "parent",
-                 "label")
+                 "label", "live")
 
     def __init__(self, value: Any, prio: float, extra: Any = None,
                  label: int = 0) -> None:
@@ -106,13 +109,14 @@ class Node:
         self.right: Optional[Node] = None
         self.parent: Optional[Node] = None
         self.label = label
+        self.live = 1
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Node({self.value!r}, size={self.size})"
 
 
 def _update(n: Node) -> None:
-    s = 1
+    s = n.live
     if n.left is not None:
         s += n.left.size
     if n.right is not None:
@@ -165,16 +169,16 @@ def _split(t: Optional[Node], k: int, meter: WorkMeter):
 
 
 def _select(t: Node, k: int, meter: WorkMeter) -> Node:
-    """k-th node, 1-based; caller guarantees 1 <= k <= t.size."""
+    """k-th live node, 1-based; caller guarantees 1 <= k <= t.size."""
     while True:
         meter.ticks += 1
         lsize = t.left.size if t.left is not None else 0
-        if k == lsize + 1:
-            return t
         if k <= lsize:
             t = t.left
         else:
-            k -= lsize + 1
+            k -= lsize + t.live
+            if k == 0:
+                return t
             t = t.right
 
 
@@ -290,7 +294,8 @@ class Seq:
     """Positional treap sequence; the shared machinery behind IndexedSeq and
     the per-level trees of the exact dynamic-LIS structure.
 
-    All mutators charge the meter one unit per node touched.
+    All mutators charge the meter one unit per node touched.  Only an
+    ``IndexedSeq`` holds dead nodes, and it uses only descents that skip them.
     """
 
     __slots__ = ("root", "meter", "rng")
@@ -352,7 +357,7 @@ class Seq:
         return self.root.size if self.root is not None else 0
 
     def __iter__(self) -> Iterator[Any]:
-        return (n.value for n in _iter_nodes(self.root))
+        return (n.value for n in _iter_nodes(self.root) if n.live)
 
     def nodes(self) -> Iterator[Node]:
         return _iter_nodes(self.root)
@@ -365,7 +370,7 @@ class Seq:
 
     def insert_node(self, pos: int, node: Node) -> Node:
         node.left = node.right = node.parent = None
-        node.size = 1
+        node.size = node.live = 1
         self._attach(pos, node)
         return node
 
@@ -392,7 +397,7 @@ class Seq:
                 t = t.left
             else:
                 pred = t
-                k -= lsize + 1
+                k -= lsize + t.live
                 t = t.right
         node.parent = parent
         if parent is None:
@@ -410,13 +415,13 @@ class Seq:
         return pred, succ
 
     def unlink(self, node: Node) -> None:
-        """Remove a live node of this sequence in place.
+        """Remove a node of this sequence, live or a tombstone, in place.
 
-        Its children's join takes its slot and every ancestor's size drops
-        by one.  A treap is unique for its priorities, so the tree is the
-        one a split around the node and a join would leave.  The node is
-        left dead (size 0)."""
-        if node.size == 0:
+        Its children's join takes its slot, and a live node's ancestors'
+        sizes drop by one.  A treap is unique for its priorities, so the
+        tree is the one a split around the node and a join would leave.
+        The node is left unlinked and dead (live and size 0)."""
+        if node.parent is None and node is not self.root:
             raise DeadHandleError("handle was deleted")
         meter = self.meter
         sub = _join(node.left, node.right, meter)
@@ -430,14 +435,15 @@ class Seq:
                 p.left = sub
             else:
                 p.right = sub
-            ticks = 0
-            while p is not None:
-                ticks += 1
-                p.size -= 1
-                p = p.parent
-            meter.ticks += ticks
+            if node.live:
+                ticks = 0
+                while p is not None:
+                    ticks += 1
+                    p.size -= 1
+                    p = p.parent
+                meter.ticks += ticks
         node.parent = node.left = node.right = None
-        node.size = 0  # dead marker
+        node.live = node.size = 0
 
     def node_at(self, pos: int) -> Node:
         return _select(self.root, pos, self.meter)
@@ -475,7 +481,7 @@ class Seq:
 
     def rank_of(self, node: Node) -> int:
         """1-based position of a live node; O(depth) via parent pointers."""
-        if node.size == 0:
+        if not node.live:
             raise DeadHandleError("handle was deleted")
         r = (node.left.size if node.left is not None else 0) + 1
         cur = node
@@ -483,7 +489,7 @@ class Seq:
             self.meter.ticks += 1
             p = cur.parent
             if p.right is cur:
-                r += (p.left.size if p.left is not None else 0) + 1
+                r += (p.left.size if p.left is not None else 0) + p.live
             cur = p
         if cur is not self.root:
             raise DeadHandleError("handle does not belong to this sequence")
@@ -540,49 +546,6 @@ class Seq:
         return list(self)
 
 
-class _Snapshot:
-    """State of an ``IndexedSeq``'s open snapshot walk: ``cursor``, the next
-    live node to visit (None past the last); ``born``, the nodes inserted
-    since the opening, which the walk skips; and per live node a ``before``
-    queue of snapshot values deleted just before it, unvisited, which the
-    walk emits ahead of the node (``tail`` past the last live node)."""
-
-    __slots__ = ("cursor", "born", "before", "tail")
-
-    def __init__(self, cursor: Optional[Node]) -> None:
-        self.cursor = cursor
-        self.born: set[Node] = set()
-        self.before: dict[Node, deque] = {}
-        self.tail: deque = deque()
-
-    def drop(self, node: Node, meter: WorkMeter) -> None:
-        """Account for the live ``node``, about to be unlinked.  The walk has
-        passed it when its label is below the cursor's, both live."""
-        born = node in self.born
-        self.born.discard(node)
-        cur = self.cursor
-        if cur is None or node.label < cur.label:
-            return
-        moved = self.before.pop(node, deque())
-        if not born:
-            moved.append(node.value)
-        if not moved and node is not cur:
-            return
-        succ = _next(node, meter)
-        if node is cur:
-            self.cursor = succ
-        rest = self.tail if succ is None else self.before.get(succ, ())
-        if len(rest) > len(moved):   # the shorter queue moves
-            rest.extendleft(reversed(moved))
-            moved = rest
-        else:
-            moved.extend(rest)
-        if succ is None:
-            self.tail = moved
-        else:
-            self.before[succ] = moved
-
-
 class IndexedSeq:
     """Distinct-valued integer sequence with positional access, stable
     handles, and logarithmic updates.
@@ -590,8 +553,14 @@ class IndexedSeq:
     Positions are 1-based.  Values must be pairwise distinct; duplicates are
     rejected at ingestion rather than tie-broken silently.  Handles carry
     order labels (module docstring); ``relabelled`` counts the nodes that
-    inserts have given a new label so far.  ``snapshot`` walks the values
-    as they stood when it was called, while updates go on.
+    inserts have given a new label so far.
+
+    ``snapshot`` opens a walk over the handles as they stand, which stays
+    correct while updates go on.  While it is open a delete leaves its node
+    in the tree as a tombstone: dead, so positions, ``position_of`` and
+    iteration skip it, but in its place in order, so relabels keep its
+    label ordered against every other handle.  ``close_snapshot`` unlinks
+    the tombstones.
     """
 
     def __init__(self, values: Iterable[int] = (),
@@ -600,7 +569,10 @@ class IndexedSeq:
         self._seq = Seq(meter=meter, rng=random.Random(seed ^ 0x1D5EC))
         self.relabelled = 0
         self._values: set[int] = set()
-        self._snap: Optional[_Snapshot] = None
+        # the open snapshot's nodes inserted and deleted since its opening;
+        # _born is None while none is open
+        self._born: Optional[set[Node]] = None
+        self._tombs: list[Node] = []
         for _ in self._load(values):
             pass
 
@@ -628,45 +600,43 @@ class IndexedSeq:
     def __iter__(self) -> Iterator[int]:
         return iter(self._seq)
 
-    def snapshot(self) -> Iterator[int]:
-        """An iterator over the values as they stand now, in order, which
-        stays correct while inserts and deletes go on.  One is open at a
-        time (a second call raises ``RuntimeError``) until its walk ends or
-        is closed or dropped.  An update pays one test while none is open;
-        a delete ahead of the walk looks up its successor."""
-        if self._snap is not None:
+    def snapshot(self) -> Iterator[Node]:
+        """Open a snapshot and return a walk over the handles as they stand
+        now.  No node leaves the tree while it is open, so an in-order walk
+        that skips the nodes inserted since stays correct while updates go
+        on.  One is open at a time (a second call raises ``RuntimeError``)
+        until ``close_snapshot``."""
+        if self._born is not None:
             raise RuntimeError("a snapshot of this sequence is already open")
-        root = self._seq.root
-        # the walk charges nothing: its consumer charges each value it
+        self._born = set()
+        return self._walk(self._born)
+
+    def _walk(self, born: set) -> Iterator[Node]:
+        # the walk charges nothing: its consumer charges each handle it
         # reads, which covers the walk's O(n) steps, first descent included
         free = WorkMeter()
-        snap = self._snap = _Snapshot(
-            None if root is None else _select(root, 1, free))
-        walk = self._walk(snap, free)
-        next(walk)
-        return walk
+        node = self._seq.root
+        if node is None:
+            return
+        while node.left is not None:
+            node = node.left
+        while node is not None:
+            if node not in born:
+                yield node
+            node = _next(node, free)
 
-    def _walk(self, snap: _Snapshot, meter: WorkMeter) -> Iterator[int]:
-        try:
-            yield   # started by snapshot(), so closing or dropping runs finally
-            while snap.cursor is not None:
-                node = snap.cursor
-                queued = snap.before.pop(node, None)
-                if queued:
-                    yield from queued
-                if snap.cursor is node:   # not deleted meanwhile
-                    snap.cursor = _next(node, meter)
-                    if node not in snap.born:
-                        yield node.value
-            yield from snap.tail
-        finally:
-            self._snap = None
+    def close_snapshot(self) -> None:
+        """Close the open snapshot, if any, and unlink its tombstones."""
+        self._born = None
+        for node in self._tombs:
+            self._seq.unlink(node)
+        self._tombs = []
 
     def apply(self, op: Operation):
-        """Apply one operation. Returns the new handle for an insert, the
-        removed value for a delete; a rejected one changes nothing."""
+        """Apply one operation. Returns the element's handle, new for an
+        insert and removed for a delete; a rejected one changes nothing."""
         if op.kind != INSERT:
-            return self._pop(op).value
+            return self._pop(op)
         _check_op(op, len(self), self._values)
         self._values.add(op.value)
         node = Node(op.value, self._seq.rng.random())
@@ -679,8 +649,8 @@ class IndexedSeq:
             node.label = (pred.label + succ.label) // 2
         else:
             self._relabel(node, pred)
-        if self._snap is not None:
-            self._snap.born.add(node)
+        if self._born is not None:
+            self._born.add(node)
         return node
 
     def _relabel(self, node: Node, pred: Node) -> None:
@@ -720,13 +690,21 @@ class IndexedSeq:
 
     def _pop(self, op: Operation) -> Node:
         """Check and apply a delete, with no separate lookup of the handle;
-        returns the removed node, which is the element's handle."""
+        returns the removed node, which is the element's handle: unlinked,
+        or a tombstone while a snapshot is open."""
         _check_op(op, len(self), self._values)
         seq = self._seq
         node = seq.node_at(op.position)
-        if self._snap is not None:
-            self._snap.drop(node, seq.meter)
-        seq.unlink(node)
+        if self._born is None:
+            seq.unlink(node)
+        else:   # a tombstone: out of its own and its ancestors' sizes
+            node.live = 0
+            self._tombs.append(node)
+            t: Optional[Node] = node
+            while t is not None:
+                seq.meter.ticks += 1
+                t.size -= 1
+                t = t.parent
         self._values.discard(node.value)
         return node
 
@@ -734,12 +712,10 @@ class IndexedSeq:
         return self.apply(Operation(INSERT, position, value))
 
     def delete(self, position: int) -> int:
-        return self.apply(Operation(DELETE, position))
+        return self._pop(Operation(DELETE, position)).value
 
     def value_at(self, position: int) -> int:
-        if not 1 <= position <= len(self):
-            raise PositionError(f"index {position} outside [1, {len(self)}]")
-        return self._seq.node_at(position).value
+        return self.handle_at(position).value
 
     def handle_at(self, position: int):
         if not 1 <= position <= len(self):

@@ -11,9 +11,14 @@ import random
 
 
 def fenwick_lis(values) -> int:
+    prefixes = fenwick_lis_prefixes(values)
+    return prefixes[-1] if prefixes else 0
+
+
+def fenwick_lis_prefixes(values) -> list[int]:
+    """The LIS of every prefix of values, in one pass."""
     n = len(values)
-    if n == 0:
-        return 0
+    out: list[int] = []
     order = sorted(values)
     rank = {v: i + 1 for i, v in enumerate(order)}
     tree = [0] * (n + 1)
@@ -34,7 +39,8 @@ def fenwick_lis(values) -> int:
             i += i & (-i)
         if cur > best:
             best = cur
-    return best
+        out.append(best)
+    return out
 
 
 def fenwick_dtm(values) -> int:

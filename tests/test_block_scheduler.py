@@ -5,6 +5,7 @@ import weakref
 
 import pytest
 
+from dynseq import indexed_sequence
 from dynseq.block_scheduler import (SYNC_BASE_CAP, SYNC_BASE_LEN,
                                     ContractViolationError, GeneratorBlock,
                                     WrappedEstimator)
@@ -16,7 +17,7 @@ from dynseq.exact_lis import ExactDynamicLis
 from dynseq.indexed_sequence import INSERT, IndexedSeq, dele, ins
 from dynseq.streams import generate_stream
 from dynseq.work import WorkMeter
-from oracles import fenwick_lis, fresh_values
+from oracles import fenwick_lis, fenwick_lis_prefixes, fresh_values
 
 
 class RecomputeBlock(GeneratorBlock):
@@ -199,7 +200,7 @@ def test_exact_updates_look_up_no_positions(monkeypatch):
     # position
     inside = False
     lookups = 0
-    ran = {"insert": 0, "delete": 0}
+    ran = {"insert_handle": 0, "delete_handle": 0}
     position_of = IndexedSeq.position_of
 
     def counting_position_of(self, handle):
@@ -221,12 +222,13 @@ def test_exact_updates_look_up_no_positions(monkeypatch):
         monkeypatch.setattr(ExactDynamicLis, name, run)
 
     monkeypatch.setattr(IndexedSeq, "position_of", counting_position_of)
-    tracked("insert")
-    tracked("delete")
+    tracked("insert_handle")
+    tracked("delete_handle")
     eng = sqrt_engine(0.5, seed=3)
     for op in mixed_stream(3, 4000, 0.25):
         eng.apply(op)
-    assert ran["insert"] > 0 and ran["delete"] > 0   # the wrapped updates ran
+    # the wrapped updates ran
+    assert ran["insert_handle"] > 0 and ran["delete_handle"] > 0
     assert lookups == 0
 
 
@@ -295,34 +297,52 @@ def test_exact_branch_seeding_is_paced(kind):
 
 
 @pytest.mark.parametrize("kind", ["sorted", "uniform"])
-def test_snapshot_lives_only_while_a_rebuilt_successor_warms(kind):
-    # the mirror holds at most one open snapshot; a rebuilt successor opens
-    # it and drops it as its patience pass starts, a continuation opens
-    # none, and no active block keeps one
+def test_snapshot_lives_from_a_rebuilt_generation_to_the_next_build(kind):
+    # only a generation the factory builds opens a snapshot, and it drops
+    # the walk as its patience pass starts; the next generation's build
+    # closes the snapshot, and until then its tombstones are at most the
+    # deletes since the opening
     eng = sqrt_engine(0.5, seed=1)
     wrapped = eng._wrapped
     mirror = wrapped.mirror
-    seen_open = 0
+    built = [wrapped.active]   # the generations the factory built
+    factory = wrapped.factory
+
+    def counted_factory():
+        built.append(factory())
+        return built[-1]
+
+    wrapped.factory = counted_factory
+    newest = wrapped.active
+    deletes = 0
+    seen = {"open": 0, "closed": 0}
     for op in generate_stream(kind, 3000, 1):
         eng.apply(op)
+        deletes += op.kind != INSERT
         active, warming = wrapped.active, wrapped._warming
         walking = [blk for blk in (active, warming) if blk is not None
                    and (blk.snap is not None or blk._gen is not None)]
-        assert len(walking) <= 1
-        assert active.snap is None and active._gen is None
+        assert walking in ([], [warming])
         if warming is not None and wrapped._continuing:
             assert warming.snap is None and warming._gen is None
-        if mirror._snap is not None:
-            seen_open += 1
-            assert walking == [warming] and not wrapped._continuing
+        latest = warming if warming is not None else active
+        if latest is not newest:   # built in this step, after its update
+            newest = latest
+            deletes = 0
+        if newest is built[-1]:
+            seen["open"] += 1
+            assert mirror._born is not None
+            assert len(mirror._tombs) <= deletes
         else:
-            assert warming is None or warming.snap is None
+            seen["closed"] += 1
+            assert mirror._born is None and not mirror._tombs
     # sorted: frozen generations, each rebuilt while the active one serves;
     # uniform: exact generations, which continue
+    assert seen["open"] > 0
     if kind == "sorted":
-        assert eng.generations_rebuilt > 0 and seen_open > 0
+        assert eng.generations_rebuilt > 0
     else:
-        assert eng.generations_continued > 0
+        assert eng.generations_continued > 0 and seen["closed"] > 0
 
 
 @pytest.mark.parametrize("seed", range(1, 4))
@@ -388,6 +408,152 @@ def test_frozen_witness_survives_deletes_and_reinserts(seed, monkeypatch):
             assert shadow[p - 1] == v
     assert frozen_builds > 3
     assert not [blk for blk in owners if blk.branch == "frozen"]
+
+
+def _staircase(runs: int, base: int) -> list[int]:
+    """``runs`` runs of 16 values, each run descending and above the last:
+    LIS ``runs``."""
+    return [base + 32 * j + 15 - t for j in range(runs) for t in range(16)]
+
+
+def _one_spot_replay(epsilon, seed, steps, check):
+    """Replay the sqrt engine over appends of a staircase, a sorted stretch
+    and a second staircase, then ``steps`` updates at the one spot after the
+    stretch: deletes of its last element and inserts that extend it, which
+    steer the LIS across the threshold and back so that frozen and exact
+    generations are rebuilt in turn, and between them inserts nested in
+    that spot, whose values keep the LIS.  While a rebuilt successor warms,
+    the stream deletes once and then nests inserts, so the delete waits in
+    the buffer while inserts land where its element was.
+    ``check(eng, shadow, lis, t)`` runs after every update, with the shadow
+    array's LIS."""
+    rng = random.Random(seed)
+    stretch = [2 * 10 ** 8 + (i << 16) for i in range(90)]
+    prefill = _staircase(120, 0) + stretch + _staircase(120, 4 * 10 ** 8)
+    eng = sqrt_engine(epsilon, seed=seed)
+    shadow: list = []
+    for t, (v, lis) in enumerate(zip(prefill, fenwick_lis_prefixes(prefill))):
+        eng.apply(ins(t + 1, v))
+        shadow.append(v)
+        check(eng, shadow, lis, t)
+    used = set(prefill)
+    nested = 10 ** 8
+    spot = 120 * 16 + len(stretch) + 1   # first position after the stretch
+    down = True
+    for step in range(steps):
+        tau = (2 / epsilon + 1) * math.sqrt(len(shadow))
+        if lis >= tau + 6:
+            down = True
+        elif lis <= tau - 6:
+            down = False
+        buffer = eng._wrapped._buffer
+        if buffer is not None:   # a rebuilt successor warms
+            kind = ("delete" if all(op.kind == INSERT for op, _ in buffer)
+                    else "nested")
+        elif step % 3 == 0:
+            kind = "delete" if down else "extend"
+        else:
+            kind = "nested"
+        if kind == "delete":
+            op = dele(spot - 1)
+            spot -= 1
+        elif kind == "extend":
+            v = shadow[spot - 2] + rng.randint(1, 1 << 10)
+            while v in used:
+                v += 1
+            used.add(v)
+            op = ins(spot, v)
+            spot += 1
+        else:
+            nested += rng.randint(1, 9)
+            op = ins(spot, nested)
+        eng.apply(op)
+        if op.kind == INSERT:
+            shadow.insert(op.position - 1, op.value)
+        else:
+            shadow.pop(op.position - 1)
+        lis = fenwick_lis(shadow)
+        check(eng, shadow, lis, len(prefill) + step)
+    return eng
+
+
+@pytest.mark.parametrize("seed", range(1, 3))
+def test_rebuilt_exact_successors_replay_deletes_across_relabels(seed,
+                                                                 monkeypatch):
+    # a label spacing of 4 uses a gap up after two nested inserts, and a
+    # relabel that may leave up to 1.9**i nodes in 2**i labels leaves gaps
+    # of a few labels, so the inserts at the spot relabel the handles
+    # around it, deleted ones included, while a rebuilt exact successor has
+    # their deletes buffered
+    monkeypatch.setattr(indexed_sequence, "LABEL_SPACING", 4)
+    monkeypatch.setattr(indexed_sequence, "RELABEL_GROWTH", 1.9)
+    eps = 0.5
+    built: list = []
+    sqrt_init = SqrtBlock.__init__
+
+    def counted_init(self, *args, **kwargs):
+        sqrt_init(self, *args, **kwargs)
+        if self.exact is None:
+            built.append(self)
+
+    monkeypatch.setattr(SqrtBlock, "__init__", counted_init)
+    relabelled = 0   # the mirror's relabels so far
+    across = 0       # steps that relabel while an exact successor waits to
+                     # replay a delete
+
+    def check(eng, shadow, lis, t):
+        nonlocal relabelled, across
+        wrapped = eng._wrapped
+        mirror = wrapped.mirror
+        deletes = [h for op, h in wrapped._buffer or () if op.kind != INSERT]
+        # every delete a rebuilt successor has yet to replay names a handle
+        # still in the mirror's tree, where relabels reach it
+        for h in deletes:
+            while h.parent is not None:
+                h = h.parent
+            assert h is mirror._seq.root, t
+        if deletes and wrapped._warming.branch == "exact":
+            across += mirror.relabelled > relabelled
+        relabelled = mirror.relabelled
+        est = eng.query()
+        assert est <= lis <= (1 + eps) * est, t
+        if t % 50 == 0:
+            witness = eng.extract()
+            assert len(witness) == est
+            for (p, v), (q, w) in zip(witness, witness[1:]):
+                assert p < q and v < w
+            assert all(shadow[p - 1] == v for p, v in witness)
+
+    _one_spot_replay(eps, seed, 900, check)
+    rebuilt = [blk.branch for blk in built[1:]]
+    assert "frozen" in rebuilt and rebuilt.count("exact") >= 2
+    assert across > 0
+
+
+def test_one_treap_per_sqrt_engine(monkeypatch):
+    # a stream that rebuilds frozen and exact generations in turn builds no
+    # sequence but the mirror
+    seqs = 0
+    built: list = []
+    seq_init = IndexedSeq.__init__
+    sqrt_init = SqrtBlock.__init__
+
+    def counted_seq(self, *args, **kwargs):
+        nonlocal seqs
+        seqs += 1
+        seq_init(self, *args, **kwargs)
+
+    def counted_block(self, *args, **kwargs):
+        sqrt_init(self, *args, **kwargs)
+        if self.exact is None:
+            built.append(self)
+
+    monkeypatch.setattr(IndexedSeq, "__init__", counted_seq)
+    monkeypatch.setattr(SqrtBlock, "__init__", counted_block)
+    _one_spot_replay(0.5, 1, 600, lambda *args: None)
+    rebuilt = [blk.branch for blk in built[1:]]
+    assert "frozen" in rebuilt and "exact" in rebuilt
+    assert seqs == 1
 
 
 def test_unready_successor_is_a_contract_violation():

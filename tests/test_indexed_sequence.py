@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dynseq import indexed_sequence
 from dynseq.indexed_sequence import (DeadHandleError, DuplicateValueError,
                                      IndexedSeq, Operation, PositionError,
-                                     Seq, dele, ins)
+                                     Seq, _next, dele, ins)
 from dynseq.streams import KINDS, generate_stream
 from dynseq.work import WorkMeter
 
@@ -37,7 +37,7 @@ def test_shift_by_one():
 
 def test_delete_returns_value():
     s = IndexedSeq([2, 5])
-    assert s.apply(dele(1)) == 2
+    assert s.apply(dele(1)).value == 2
     assert s.materialize() == [5]
 
 
@@ -112,7 +112,7 @@ def test_replay_equivalence_random_stream():
     for step in range(4000):
         if ref and rng.random() < 0.4:
             p = rng.randint(1, len(ref))
-            got = s.apply(dele(p))
+            got = s.apply(dele(p)).value
             want = ref.pop(p - 1)
             assert got == want
             handles.pop(want)
@@ -178,7 +178,7 @@ def test_replay_property(moves):
     for slot, val in moves:
         if ref and slot == 0:
             p = slot % len(ref) + 1
-            assert s.apply(dele(p)) == ref.pop(p - 1)
+            assert s.apply(dele(p)).value == ref.pop(p - 1)
         else:
             if val in used:
                 continue
@@ -222,7 +222,7 @@ def test_labels_increase_when_gaps_run_out_often(monkeypatch):
     for v in range(1001, 4001):
         if ref and rng.random() < 0.3:
             p = rng.randint(1, len(ref))
-            assert s.apply(dele(p)) == ref.pop(p - 1)
+            assert s.apply(dele(p)).value == ref.pop(p - 1)
         else:
             p = rng.randint(1, len(ref) + 1)
             s.apply(ins(p, v))
@@ -315,13 +315,14 @@ def test_unlink_charges_fewer_ticks_than_split_join():
 
 
 def test_snapshot_walk_matches_a_copy_taken_at_opening():
-    # between steps of the walk: deletes at, ahead of and behind its cursor,
-    # runs of deletes ahead of it in random order (whose queued values
-    # merge), deletes of elements inserted since the opening, and bursts of
-    # inserts nested in one gap, which use its labels up and force relabels
+    # between steps of the walk: deletes at, ahead of and behind it, runs of
+    # deletes ahead of it in random order, deletes of elements inserted since
+    # the opening, and bursts of inserts nested in one gap, which use its
+    # labels up and force relabels
     counts = dict.fromkeys(["at", "ahead", "behind", "run", "born",
                             "insert", "nested"], 0)
     relabelled = 0
+    free = WorkMeter()
     for seed in range(300):
         rng = random.Random(seed)
         fresh = count()
@@ -334,14 +335,19 @@ def test_snapshot_walk_matches_a_copy_taken_at_opening():
         with pytest.raises(RuntimeError):
             s.snapshot()
         born: list = []
+        last = None     # the handle the walk yielded last
         before = s.relabelled
 
         def update():
-            cursor = s._snap.cursor
-            at = s.position_of(cursor) if cursor is not None else len(s) + 1
-            live = [h for h in born if h.size]
+            # the position of the first live element past the walk's last
+            nxt = None if last is None else _next(last, free)
+            while nxt is not None and not nxt.live:
+                nxt = _next(nxt, free)
+            at = (1 if last is None else
+                  len(s) + 1 if nxt is None else s.position_of(nxt))
+            live = [h for h in born if h.live]
             kind = rng.choice(list(counts))
-            if kind == "at" and cursor is not None:
+            if kind == "at" and at <= len(s):
                 s.delete(at)
             elif kind == "ahead" and at < len(s):
                 s.delete(rng.randint(at + 1, len(s)))
@@ -367,16 +373,72 @@ def test_snapshot_walk_matches_a_copy_taken_at_opening():
         for _ in range(rng.randint(0, 2)):
             update()
         out = []
-        for v in walk:
-            out.append(v)
+        for h in walk:
+            out.append(h.value)
+            last = h
             if rng.random() < 0.3:
                 update()
         assert out == copy, seed
         relabelled += s.relabelled - before
-        assert s._snap is None     # closed when the walk ended
+        assert labels_increase(s)   # tombstones included
+        with pytest.raises(RuntimeError):
+            s.snapshot()            # open after the walk ended
+        s.close_snapshot()
         walk = s.snapshot()
-        del walk                   # closed when dropped, even unstarted
-        assert list(s.snapshot()) == s.materialize()
+        del walk
+        with pytest.raises(RuntimeError):
+            s.snapshot()            # and after its walk was dropped
+        s.close_snapshot()
+        assert [h.value for h in s.snapshot()] == s.materialize()
+        s.close_snapshot()
         assert labels_increase(s)
     assert relabelled > 0
     assert min(counts.values()) > 0, counts
+
+
+def test_deleted_handles_stay_ordered_while_a_snapshot_is_open(monkeypatch):
+    # a spacing of 4 uses a gap up after two nested inserts, so inserts
+    # nested between a deleted handle's former neighbours relabel the
+    # nodes around it
+    monkeypatch.setattr(indexed_sequence, "LABEL_SPACING", 4)
+    for seed in range(50):
+        rng = random.Random(seed)
+        ref = list(range(0, 80, 2))
+        s = IndexedSeq(ref, seed=seed)
+        walk = s.snapshot()
+        fresh = count(1000)
+        dead = []
+        for _ in range(5):
+            p = rng.randint(2, len(ref) - 1)
+            h = s.handle_at(p)
+            after = s.handle_at(p + 1)
+            dead.append((s.handle_at(p - 1), h, after))
+            s.delete(p)
+            ref.pop(p - 1)
+            for _ in range(120):
+                q = s.position_of(after)
+                v = next(fresh)
+                s.insert(q, v)
+                ref.insert(q - 1, v)
+        assert s.relabelled > 0
+        assert labels_increase(s)
+        for pred, h, succ in dead:
+            assert pred.label < h.label < succ.label
+        assert len(s) == len(ref)
+        assert s.materialize() == list(s) == ref
+        assert [s.value_at(p) for p in range(1, len(s) + 1)] == ref
+        handles = {s.handle_at(p) for p in range(1, len(s) + 1)}
+        for _, h, _ in dead:
+            assert h not in handles
+            with pytest.raises(DeadHandleError):
+                s.position_of(h)
+        assert all(s.position_of(h) == p
+                   for p, h in enumerate(map(s.handle_at, range(1, len(s) + 1)), 1))
+        assert [h.value for h in walk] == list(range(0, 80, 2))
+        s.close_snapshot()
+        assert labels_increase(s)
+        for _, h, _ in dead:
+            assert h.size == 0 and h.parent is None
+            with pytest.raises(DeadHandleError):
+                s.position_of(h)
+        assert s.materialize() == ref
