@@ -10,9 +10,8 @@ from .classic import (OracleScaleError, brute_dtm, brute_lis, levels,
 from .dynamic_dtm import (CoverContractError, DtmDynamic, InversionMatching,
                           exact_from_cover_labels, exact_from_cover_vc,
                           sequential_dtm, stack_matching)
-from .dynamic_lis import (GridLis, HierarchyLis, NaiveLis, SqrtLis, extract,
-                          grid_engine, hierarchy_engine, naive_engine,
-                          sqrt_engine)
+from .dynamic_lis import (HierarchyLis, NaiveLis, SqrtLis, hierarchy_engine,
+                          naive_engine, sqrt_engine)
 from .grid_packing import (GridPacking, GridSegment, build_grid_packing,
                            non_conflicting, precedes, table_score)
 from .indexed_sequence import (DeadHandleError, DuplicateValueError,
@@ -29,14 +28,14 @@ __version__ = "0.1.0"
 __all__ = [
     "ArrayPacking", "ArraySegment", "ExactDynamicLis", "GeneratorBlock",
     "ContractViolationError", "CoverContractError", "DeadHandleError",
-    "DtmDynamic", "DuplicateValueError", "GridLis", "GridPacking",
+    "DtmDynamic", "DuplicateValueError", "GridPacking",
     "GridSegment", "HierarchyLis", "IndexedSeq", "InsertOnlyError",
     "InversionMatching", "LisPlus", "NaiveLis", "Operation",
     "OracleScaleError", "Partition", "PositionError", "SqrtLis",
     "WorkMeter", "WrappedEstimator", "brute_dtm", "brute_lis",
     "build_array_packing", "build_grid_packing", "dele",
-    "exact_from_cover_labels", "exact_from_cover_vc", "extract",
-    "generate_stream", "grid_engine", "hierarchy_engine", "ins", "levels",
+    "exact_from_cover_labels", "exact_from_cover_vc",
+    "generate_stream", "hierarchy_engine", "ins", "levels",
     "lis_extract", "lis_length", "naive_engine", "non_conflicting",
     "parse_stream", "partition_baseline", "partition_dynamic",
     "partition_is_valid", "precedes", "sequential_dtm", "serialize_stream",

@@ -19,6 +19,11 @@ with no second instance alive.
 Queries are always answered by the active, fully preprocessed block, so any
 approximation guarantee of the block algorithm carries over unchanged.
 
+The engines are ``WrappedEstimator`` subclasses: ``SqrtLis`` (``SqrtBlock``
+generations), ``DtmDynamic`` (``_DtmBlock``) and ``KeyedWrapped``
+(``GridBlock`` and ``KeyedNaiveBlock``), each passing the scheduler a
+factory and its mirror.
+
 The scheduler reads the array through a mirror, which offers ``len`` and
 ``apply(op) -> ctx`` (mutate, and return a context handed on to the blocks
 with the operation).  A block reads what it needs from the mirror when it

@@ -191,10 +191,9 @@ def cmd_partition(args, out) -> int:
         part = partition_dynamic(values, args.epsilon)
     if not partition_is_valid(values, part):
         raise AuditError("partitioner produced an invalid partition")
-    lines = []
-    for idxs, direction in zip(part.parts, part.directions):
-        lines.append(direction + " " + " ".join(str(i) for i in idxs))
-    text = "\n".join(lines) + "\n"
+    # one line per part, so zero parts write an empty file
+    text = "".join(direction + " " + " ".join(str(i) for i in idxs) + "\n"
+                   for idxs, direction in zip(part.parts, part.directions))
     if args.output == "-":
         out.write(text)
     else:

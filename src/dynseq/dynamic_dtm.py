@@ -70,11 +70,10 @@ class InversionMatching:
 
     def apply(self, op: Operation):
         """Apply one update; a rejected one changes nothing."""
+        h = self.backing.apply(op)
         if op.kind == INSERT:
-            h = self.backing.apply(op)
             self._place(h)
             return None
-        h = self.backing._pop(op)
         node = self._tn_node.pop(id(h), None)
         if node is not None:
             self.tn.unlink(node)
@@ -295,7 +294,7 @@ class _DtmBlock(GeneratorBlock):
         return self.d + self.a
 
 
-class DtmDynamic:
+class DtmDynamic(WrappedEstimator):
     """(1+eps)-approximate dynamic DTM.
 
     An update costs O(log n), except that one step per generation, the one
@@ -305,26 +304,27 @@ class DtmDynamic:
 
     def __init__(self, epsilon: float, meter: Optional[WorkMeter] = None,
                  seed: int = 0) -> None:
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         self.epsilon = epsilon
         self.meter = meter if meter is not None else WorkMeter()
-        # the factory closes over the local, not self: no reference cycle
-        matching = self.matching = InversionMatching(meter=self.meter, seed=seed)
-        self._wrapped = WrappedEstimator(
-            lambda: _DtmBlock(matching, epsilon), matching)
+        matching = InversionMatching(meter=self.meter, seed=seed)
+        # the factory closes over the locals, not self: no reference cycle
+        super().__init__(lambda: _DtmBlock(matching, epsilon), matching)
 
     def __len__(self) -> int:
-        return len(self.matching)
+        return len(self.mirror)
 
     def apply(self, op: Operation) -> None:
-        self._wrapped.apply(op)
+        # defined here, not inherited, so that perfbench's --trace times it
+        # as DtmDynamic.apply
+        super().apply(op)
 
     def query(self) -> int:
-        return min(self._wrapped.query(), len(self))
+        return min(super().query(), len(self))
 
     def approx2_query(self) -> tuple[int, int]:
-        return self.matching.approx2_query()
+        return self.mirror.approx2_query()
 
     def extract(self):
         raise NotImplementedError("the DTM engine reports values only")

@@ -1,15 +1,14 @@
 """Dynamic LIS engines.
 
-Four estimators share one public surface (apply / query / extract):
+Three estimators share one public surface (apply / query / extract):
 
 * naive: recompute patience sorting per query, exact;
 * sqrt: block algorithm that either freezes a long witness and reports
   ``r - i`` (when the LIS is large) or runs the exact level structure live
   (when it is small), giving a (1+eps) guarantee at every step;
-* grid: one grid-packing level whose per-segment sub-problems are solved by
-  child estimators, combined by the non-conflicting-chain DP;
-* hierarchy: the grid construction recursing on itself, children one level
-  shallower, exact below a size cutoff.
+* hierarchy: grid-packing levels whose per-segment sub-problems are solved
+  by child estimators one level shallower, combined by the
+  non-conflicting-chain DP, exact below a size cutoff.
 
 Internally the grid family addresses elements by immutable order keys
 rather than positions: a key is assigned once at insertion, so per-segment
@@ -64,17 +63,15 @@ class EngineContext:
     """Shared configuration and counters for one engine stack."""
 
     __slots__ = ("kappa", "cutoff", "meter", "touched_segments",
-                 "fault_skip_segment", "m_override", "_grids")
+                 "fault_skip_segment", "_grids")
 
     def __init__(self, kappa: float, meter: WorkMeter,
-                 cutoff: int = BASE_CUTOFF,
-                 m_override: Optional[int] = None) -> None:
+                 cutoff: int = BASE_CUTOFF) -> None:
         self.kappa = kappa
         self.cutoff = cutoff
         self.meter = meter
         self.touched_segments = 0
         self.fault_skip_segment = False   # mutation-testing hook (CLI --fault)
-        self.m_override = m_override
         self._grids: dict[int, GridPacking] = {}
 
     def grid(self, m: int) -> GridPacking:
@@ -209,10 +206,7 @@ class GridBlock(GeneratorBlock):
         self.level = level
         self.ctx = ctx
         n = len(snap[0])
-        if ctx.m_override is not None:
-            self.m = ctx.m_override
-        else:
-            self.m = max(2, int(n ** (1.0 / (level + 2))))
+        self.m = max(2, int(n ** (1.0 / (level + 2))))
         # capacity follows n^((k+1)/(k+2)) but never exceeds the per-column
         # budget n/m, which clamping m to small integers can undercut
         self.capacity = max(1, min(
@@ -409,47 +403,27 @@ def make_keyed_engine(level: int, keys: list, values: list, ctx: EngineContext):
 # public position-based estimators
 
 
-class _PositionalBase:
-    """Validation and value bookkeeping shared by NaiveLis and HierarchyLis."""
-
-    def __init__(self, meter: Optional[WorkMeter]) -> None:
-        self.meter = meter if meter is not None else WorkMeter()
-        self._values: set = set()
-        self._len = 0
-
-    def _check(self, op: Operation) -> None:
-        _check_op(op, self._len, self._values)
-
-    def _note(self, op: Operation, removed=None) -> None:
-        if op.kind == INSERT:
-            self._values.add(op.value)
-            self._len += 1
-        else:
-            self._values.discard(removed)
-            self._len -= 1
-
-    def __len__(self) -> int:
-        return self._len
-
-
-class NaiveLis(_PositionalBase):
+class NaiveLis:
     """Exact estimator recomputing the LIS from scratch (lazily per query)."""
 
     def __init__(self, meter: Optional[WorkMeter] = None) -> None:
-        super().__init__(meter)
+        self.meter = meter if meter is not None else WorkMeter()
         self.items: list = []
+        self._values: set = set()
         self._dirty = True
         self._lis = 0
 
+    def __len__(self) -> int:
+        return len(self.items)
+
     def apply(self, op: Operation) -> None:
-        self._check(op)
+        _check_op(op, len(self), self._values)
         if op.kind == INSERT:
             self.items.insert(op.position - 1, op.value)
-            self._note(op)
+            self._values.add(op.value)
         else:
-            removed = self.items.pop(op.position - 1)
-            self._note(op, removed)
-        self.meter.ticks += max(1, self._len.bit_length())
+            self._values.discard(self.items.pop(op.position - 1))
+        self.meter.ticks += max(1, len(self).bit_length())
         self._dirty = True
 
     def query(self) -> int:
@@ -595,7 +569,7 @@ class SqrtBlock(GeneratorBlock):
         return out
 
 
-class SqrtLis:
+class SqrtLis(WrappedEstimator):
     """(1+eps)-approximate dynamic LIS with near-sqrt(n) worst-case step cost.
     Its array is the scheduler's mirror, one ``IndexedSeq``."""
 
@@ -608,37 +582,19 @@ class SqrtLis:
         # IndexedSeq XORs its seed with 0x1D5EC, so this draws priorities
         # from Random(seed ^ 0x9E3779B9)
         mirror = IndexedSeq(meter=self.meter, seed=seed ^ 0x9E3779B9 ^ 0x1D5EC)
-        self._wrapped = WrappedEstimator(
-            lambda: SqrtBlock(epsilon, mirror, seed=seed), mirror)
+        # the factory closes over the locals, not self: no reference cycle
+        super().__init__(lambda: SqrtBlock(epsilon, mirror, seed=seed), mirror)
 
     def __len__(self) -> int:
-        return len(self._wrapped.mirror)
+        return len(self.mirror)
 
     def apply(self, op: Operation) -> None:
-        self._wrapped.apply(op)
-
-    def query(self) -> int:
-        return self._wrapped.query()
-
-    def extract(self) -> list[tuple[int, int]]:
-        return self._wrapped.extract()
-
-    @property
-    def max_live_instances(self) -> int:
-        return self._wrapped.max_live_instances
-
-    @property
-    def generations_rebuilt(self) -> int:
-        """Generations after the first that the factory built."""
-        return self._wrapped.generations_rebuilt
-
-    @property
-    def generations_continued(self) -> int:
-        """Generations that continued on the previous one's live levels."""
-        return self._wrapped.generations_continued
+        # defined here, not inherited, so that perfbench's --trace times it
+        # as SqrtLis.apply; the mirror's handle is not handed out
+        super().apply(op)
 
 
-class HierarchyLis(_PositionalBase):
+class HierarchyLis:
     """Recursive grid hierarchy: depth ceil(4/eps), kappa = eps/2.
 
     Positions become order keys here: an insert takes a fresh key between
@@ -650,27 +606,24 @@ class HierarchyLis(_PositionalBase):
                  cutoff: int = BASE_CUTOFF) -> None:
         if not 0.0 < epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
-        self.epsilon = epsilon
-        self._build(math.ceil(4.0 / epsilon), epsilon / 2.0, meter, cutoff)
-
-    def _build(self, depth: int, kappa: float, meter: Optional[WorkMeter],
-               cutoff: int, m_override: Optional[int] = None) -> None:
         # a grid level needs an element per column: it is built over at
-        # least ``cutoff`` elements, into m <= cutoff columns
+        # least ``cutoff`` elements, into at least two columns
         if cutoff < 2:
             raise ValueError("cutoff must be at least 2")
-        if m_override is not None and not 1 <= m_override <= cutoff:
-            raise ValueError("m_override must lie in [1, cutoff]")
-        super().__init__(meter)
-        self.depth = depth
-        self.kappa = kappa
-        self.ctx = EngineContext(kappa, self.meter, cutoff=cutoff,
-                                 m_override=m_override)
-        self._keyed = KeyedWrapped(depth, [], [], self.ctx)
+        self.epsilon = epsilon
+        self.meter = meter if meter is not None else WorkMeter()
+        self.depth = math.ceil(4.0 / epsilon)
+        self.kappa = epsilon / 2.0
+        self.ctx = EngineContext(self.kappa, self.meter, cutoff=cutoff)
+        self._keyed = KeyedWrapped(self.depth, [], [], self.ctx)
         self._elements = self._keyed.mirror
+        self._values: set = set()
+
+    def __len__(self) -> int:
+        return len(self._elements)
 
     def apply(self, op: Operation) -> None:
-        self._check(op)
+        _check_op(op, len(self), self._values)
         p = op.position
         keys = self._elements.keys
         if op.kind == INSERT:
@@ -681,11 +634,11 @@ class HierarchyLis(_PositionalBase):
             else:
                 key = _key_between(keys[p - 2], keys[p - 1])
             self._keyed.apply((INSERT, key, op.value))
-            self._note(op)
+            self._values.add(op.value)
         else:
             value = self._elements.values[p - 1]
             self._keyed.apply((DELETE, keys[p - 1], value))
-            self._note(op, value)
+            self._values.discard(value)
 
     def query(self) -> int:
         return self._keyed.query()
@@ -711,17 +664,6 @@ class HierarchyLis(_PositionalBase):
         return self._keyed.leaf_elements()
 
 
-class GridLis(HierarchyLis):
-    """A single grid-packing level at ``kappa`` with exact children."""
-
-    def __init__(self, kappa: float, meter: Optional[WorkMeter] = None,
-                 cutoff: int = BASE_CUTOFF,
-                 m_override: Optional[int] = None) -> None:
-        if not 0.0 < kappa < 1.0:
-            raise ValueError("kappa must lie in (0, 1)")
-        self._build(1, kappa, meter, cutoff, m_override)
-
-
 # -- engine constructors -------------------------------------------------
 
 
@@ -737,14 +679,3 @@ def sqrt_engine(epsilon: float, meter: Optional[WorkMeter] = None,
 def hierarchy_engine(epsilon: float, meter: Optional[WorkMeter] = None,
                      cutoff: int = BASE_CUTOFF) -> HierarchyLis:
     return HierarchyLis(epsilon, meter=meter, cutoff=cutoff)
-
-
-def grid_engine(kappa: float, meter: Optional[WorkMeter] = None,
-                cutoff: int = BASE_CUTOFF,
-                m_override: Optional[int] = None) -> GridLis:
-    return GridLis(kappa, meter=meter, cutoff=cutoff, m_override=m_override)
-
-
-def extract(engine) -> list[tuple[int, int]]:
-    """Witness of the engine's current estimate: (position, value) pairs."""
-    return engine.extract()

@@ -634,13 +634,27 @@ class IndexedSeq:
 
     def apply(self, op: Operation):
         """Apply one operation. Returns the element's handle, new for an
-        insert and removed for a delete; a rejected one changes nothing."""
-        if op.kind != INSERT:
-            return self._pop(op)
+        insert and removed for a delete (unlinked, or a tombstone while a
+        snapshot is open); a rejected one changes nothing."""
         _check_op(op, len(self), self._values)
+        seq = self._seq
+        if op.kind != INSERT:
+            node = seq.node_at(op.position)
+            if self._born is None:
+                seq.unlink(node)
+            else:   # a tombstone: out of its own and its ancestors' sizes
+                node.live = 0
+                self._tombs.append(node)
+                t: Optional[Node] = node
+                while t is not None:
+                    seq.meter.ticks += 1
+                    t.size -= 1
+                    t = t.parent
+            self._values.discard(node.value)
+            return node
         self._values.add(op.value)
-        node = Node(op.value, self._seq.rng.random())
-        pred, succ = self._seq._attach(op.position, node)
+        node = Node(op.value, seq.rng.random())
+        pred, succ = seq._attach(op.position, node)
         if pred is None:
             node.label = 0 if succ is None else succ.label - LABEL_SPACING
         elif succ is None:
@@ -688,31 +702,11 @@ class IndexedSeq:
         meter.ticks += count
         self.relabelled += count - 1
 
-    def _pop(self, op: Operation) -> Node:
-        """Check and apply a delete, with no separate lookup of the handle;
-        returns the removed node, which is the element's handle: unlinked,
-        or a tombstone while a snapshot is open."""
-        _check_op(op, len(self), self._values)
-        seq = self._seq
-        node = seq.node_at(op.position)
-        if self._born is None:
-            seq.unlink(node)
-        else:   # a tombstone: out of its own and its ancestors' sizes
-            node.live = 0
-            self._tombs.append(node)
-            t: Optional[Node] = node
-            while t is not None:
-                seq.meter.ticks += 1
-                t.size -= 1
-                t = t.parent
-        self._values.discard(node.value)
-        return node
-
     def insert(self, position: int, value: int):
         return self.apply(Operation(INSERT, position, value))
 
     def delete(self, position: int) -> int:
-        return self._pop(Operation(DELETE, position)).value
+        return self.apply(Operation(DELETE, position)).value
 
     def value_at(self, position: int) -> int:
         return self.handle_at(position).value

@@ -303,27 +303,26 @@ def test_snapshot_lives_from_a_rebuilt_generation_to_the_next_build(kind):
     # closes the snapshot, and until then its tombstones are at most the
     # deletes since the opening
     eng = sqrt_engine(0.5, seed=1)
-    wrapped = eng._wrapped
-    mirror = wrapped.mirror
-    built = [wrapped.active]   # the generations the factory built
-    factory = wrapped.factory
+    mirror = eng.mirror
+    built = [eng.active]   # the generations the factory built
+    factory = eng.factory
 
     def counted_factory():
         built.append(factory())
         return built[-1]
 
-    wrapped.factory = counted_factory
-    newest = wrapped.active
+    eng.factory = counted_factory
+    newest = eng.active
     deletes = 0
     seen = {"open": 0, "closed": 0}
     for op in generate_stream(kind, 3000, 1):
         eng.apply(op)
         deletes += op.kind != INSERT
-        active, warming = wrapped.active, wrapped._warming
+        active, warming = eng.active, eng._warming
         walking = [blk for blk in (active, warming) if blk is not None
                    and (blk.snap is not None or blk._gen is not None)]
         assert walking in ([], [warming])
-        if warming is not None and wrapped._continuing:
+        if warming is not None and eng._continuing:
             assert warming.snap is None and warming._gen is None
         latest = warming if warming is not None else active
         if latest is not newest:   # built in this step, after its update
@@ -446,7 +445,7 @@ def _one_spot_replay(epsilon, seed, steps, check):
             down = True
         elif lis <= tau - 6:
             down = False
-        buffer = eng._wrapped._buffer
+        buffer = eng._buffer
         if buffer is not None:   # a rebuilt successor warms
             kind = ("delete" if all(op.kind == INSERT for op, _ in buffer)
                     else "nested")
@@ -503,16 +502,15 @@ def test_rebuilt_exact_successors_replay_deletes_across_relabels(seed,
 
     def check(eng, shadow, lis, t):
         nonlocal relabelled, across
-        wrapped = eng._wrapped
-        mirror = wrapped.mirror
-        deletes = [h for op, h in wrapped._buffer or () if op.kind != INSERT]
+        mirror = eng.mirror
+        deletes = [h for op, h in eng._buffer or () if op.kind != INSERT]
         # every delete a rebuilt successor has yet to replay names a handle
         # still in the mirror's tree, where relabels reach it
         for h in deletes:
             while h.parent is not None:
                 h = h.parent
             assert h is mirror._seq.root, t
-        if deletes and wrapped._warming.branch == "exact":
+        if deletes and eng._warming.branch == "exact":
             across += mirror.relabelled > relabelled
         relabelled = mirror.relabelled
         est = eng.query()

@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import insort
 from fractions import Fraction
 
 import pytest
@@ -9,12 +10,12 @@ from hypothesis import strategies as st
 from dynseq.block_scheduler import WrappedEstimator
 from dynseq.classic import lis_length
 from dynseq.dynamic_dtm import DtmDynamic
-from dynseq.dynamic_lis import (KEY_WHOLE, GridBlock, KeyedNaive,
-                                KeyedNaiveBlock, KeyedWrapped, _key_between,
-                                grid_engine, hierarchy_engine, naive_engine,
+from dynseq.dynamic_lis import (KEY_WHOLE, EngineContext, GridBlock,
+                                KeyedNaive, KeyedNaiveBlock, KeyedWrapped,
+                                _key_between, hierarchy_engine, naive_engine,
                                 sqrt_engine)
-from dynseq.indexed_sequence import (INSERT, DuplicateValueError, PositionError,
-                                     dele, ins)
+from dynseq.indexed_sequence import (DELETE, INSERT, DuplicateValueError,
+                                     PositionError, dele, ins)
 from dynseq.lis_plus import LisPlus
 from dynseq.streams import generate_stream
 from dynseq.work import WorkMeter
@@ -67,8 +68,8 @@ def test_naive_exact_and_empty():
 
 def test_engine_validation():
     engines = {"naive": naive_engine(), "sqrt": sqrt_engine(0.5),
-               "hier": hierarchy_engine(0.8), "grid": grid_engine(0.5),
-               "dtm": DtmDynamic(0.5), "lisplus": LisPlus()}
+               "hier": hierarchy_engine(0.8), "dtm": DtmDynamic(0.5),
+               "lisplus": LisPlus()}
     for eng in engines.values():
         for i, v in enumerate([50, 20, 70, 10, 40, 60, 30]):
             eng.apply(ins(i + 1, v))
@@ -92,13 +93,13 @@ def test_engine_validation():
         sqrt_engine(0.0)
     with pytest.raises(ValueError):
         hierarchy_engine(1.5)
+    for epsilon in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="epsilon"):
+            DtmDynamic(epsilon)
     # a grid level needs an element per column
-    for make in (lambda: grid_engine(0.5, cutoff=0),
-                 lambda: hierarchy_engine(0.5, cutoff=1),
-                 lambda: grid_engine(0.5, m_override=0),
-                 lambda: grid_engine(0.5, cutoff=24, m_override=25)):
+    for cutoff in (0, 1):
         with pytest.raises(ValueError):
-            make()
+            hierarchy_engine(0.5, cutoff=cutoff)
 
 
 def test_sqrt_ratio_every_step():
@@ -132,7 +133,7 @@ def test_sqrt_frozen_branch_on_increasing_stream():
         est = eng.query()
         true = lis_length(arr)
         assert est <= true <= (1 + eps) * est + 1e-9
-        branches.add(eng._wrapped.active.branch)
+        branches.add(eng.active.branch)
         if step % 500 == 17:
             witness_ok(eng, arr)
     assert "frozen" in branches and "exact" in branches
@@ -159,7 +160,7 @@ def test_sqrt_continues_exact_generations_across_branch_flips():
         true = fenwick_lis(arr)
         assert est <= true <= (1 + eps) * est + 1e-9
         witness_ok(eng, arr)
-        branch = eng._wrapped.active.branch
+        branch = eng.active.branch
         if not phases or phases[-1] != branch:
             phases.append(branch)
 
@@ -187,31 +188,44 @@ def test_sqrt_continues_exact_generations_across_branch_flips():
 
 
 def test_grid_engine_tracks_oracle_within_factor():
-    for m in (4, 8):
-        eng = grid_engine(0.5, cutoff=24, m_override=m)
-        worst = 1.0
-
-        def check(step, engine, arr):
-            nonlocal worst
-            est = engine.query()
-            true = fenwick_lis(arr)
-            assert est <= true
-            if est:
-                worst = max(worst, true / est)
+    # one grid level over exact children, on the m its own size picks:
+    # int(n ** (1/3)) is 4 for n in 65..124 and 8 for n in 513..728, and
+    # alternating inserts and deletes hold n at n0 or n0 + 1
+    for n0, m in ((100, 4), (600, 8)):
+        rng = random.Random(31 + m)
+        used = set()       # values
+        used_keys = set()
+        live = sorted(fresh_values(rng, used_keys, n0))   # keys in order
+        shadow = dict(zip(live, fresh_values(rng, used, n0)))
+        eng = KeyedWrapped(1, list(live), [shadow[k] for k in live],
+                           EngineContext(0.5, WorkMeter(), cutoff=24))
+        bound = 2 * (2 * math.log2(m) + 2)
+        for step in range(500):
+            if step % 2:
+                key = live.pop(rng.randrange(len(live)))
+                eng.apply((DELETE, key, shadow.pop(key)))
+            else:
+                (key,) = fresh_values(rng, used_keys)
+                (value,) = fresh_values(rng, used)
+                insort(live, key)
+                shadow[key] = value
+                eng.apply((INSERT, key, value))
+            assert eng.active.m == m
+            est = eng.query()
+            true = fenwick_lis([shadow[k] for k in live])
+            assert est <= true <= bound * est, (m, step, est, true)
             if step % 60 == 0:
-                witness_ok(engine, arr)
-
-        drive(eng, 500, 31 + m, check=check)
-        bound = 2 * (2 * math.log(m, 2) + 2)
-        assert worst <= bound, (m, worst, bound)
+                witness = eng.extract()
+                assert len(witness) == est
+                for (k, v), (k2, v2) in zip(witness, witness[1:]):
+                    assert k < k2 and v < v2
+                assert all(shadow[k] == v for k, v in witness)
 
 
 def test_grid_block_equal_split_small():
     # a snapshot of 27 elements at the first recursion level: m = 3 and
     # every row/column starts with 9 elements
     meter = WorkMeter()
-    from dynseq.dynamic_lis import EngineContext
-
     ctx = EngineContext(0.5, meter)
     rng = random.Random(5)
     values = rng.sample(range(1000), 27)
@@ -231,8 +245,6 @@ def test_grid_block_equal_split_small():
 
 def test_insert_max_at_end_routes_to_top_corner():
     meter = WorkMeter()
-    from dynseq.dynamic_lis import EngineContext
-
     ctx = EngineContext(0.5, meter)
     rng = random.Random(6)
     values = rng.sample(range(1000), 27)
@@ -305,8 +317,6 @@ def test_column_assignment_matches_recount():
     # an element's cell, derived from boundary keys, must agree with
     # recomputing the column from the mirror's key order
     from bisect import bisect_left, bisect_right
-
-    from dynseq.dynamic_lis import EngineContext
 
     meter = WorkMeter()
     ctx = EngineContext(0.5, meter)
@@ -516,8 +526,7 @@ def test_copy_count_gate_and_one_child_per_cell_set():
 @pytest.mark.parametrize("stream", ["uniform", "cursor"])
 @pytest.mark.parametrize("make", [
     lambda: hierarchy_engine(0.5, cutoff=16),
-    lambda: grid_engine(0.5, cutoff=24, m_override=3),
-], ids=["hier", "grid"])
+], ids=["hier"])
 def test_top_mirror_is_the_array(make, stream):
     """The top engine's element lists are the only copy of the array the
     frontend reads: after every operation their values are the array, and

@@ -83,10 +83,10 @@ def test_dead_handle():
 def test_pop_returns_the_handle_and_checks_once():
     s = IndexedSeq([1, 2, 3])
     h = s.handle_at(2)
-    assert s._pop(dele(2)) is h
+    assert s.apply(dele(2)) is h
     assert s.materialize() == [1, 3] and 2 not in s
     with pytest.raises(PositionError, match=r"delete position 3 outside \[1, 2\]"):
-        s._pop(dele(3))
+        s.apply(dele(3))
     assert s.materialize() == [1, 3]
 
 

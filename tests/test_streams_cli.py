@@ -141,6 +141,12 @@ def test_partition_command(tmp_path):
             assert all(1 <= i <= 64 for i in idxs)
             seen.update(idxs)
         assert seen == set(range(1, 65))
+    # zero parts: an empty file, not one blank line
+    inp.write_text("")
+    for engine in ("baseline", "dynamic"):
+        rc, _ = run_cli("partition", "--engine", engine, "--input", str(inp),
+                        "--output", str(outp))
+        assert rc == 0 and outp.read_text() == ""
 
 
 def test_packing_and_gridpack_commands():
