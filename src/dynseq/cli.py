@@ -24,8 +24,7 @@ from .grid_packing import build_grid_packing, random_cell_weights, table_score
 from .indexed_sequence import INSERT, DuplicateValueError, PositionError
 from .lis_plus import InsertOnlyError, LisPlus
 from .partitioner import partition_baseline, partition_dynamic, partition_is_valid
-from .streams import (KINDS, QUERY, StreamError, generate_stream, parse_stream,
-                      serialize_stream)
+from .streams import KINDS, QUERY, StreamError, generate_stream, parse_stream
 from .work import WorkMeter
 
 EXIT_OK = 0

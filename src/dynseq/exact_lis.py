@@ -6,12 +6,15 @@ decreasing values.  The number of nonempty levels equals the LIS.
 
 An insertion places the new element at its level and then, per level above,
 promotes one contiguous (by value) interval of elements to the next level;
-a deletion mirrors this with one demoted interval per level.  Intervals are
-moved between level trees by split/join, so the cost per affected level is
-a bounded number of tree searches.  The levels hold the handles of a
-backing ``IndexedSeq`` and the searches order them by its order labels,
-one comparison each, so an update looks up no positions; only ``extract``
-and ``levels_snapshot`` turn handles into positions, for their output.
+a deletion mirrors this with one demoted interval per level.  An interval
+that arrives at a level lands exactly in the hole the leaving interval
+leaves there (or, if none leaves, at the rank where its values fit), so
+each moved level costs one ``Seq.replace_range``, two splits and two
+joins, plus a bounded number of tree searches to find the ranks.  The
+levels hold the handles of a backing ``IndexedSeq`` and the searches order
+them by its order labels, one comparison each, so an update looks up no
+positions; only ``extract`` and ``levels_snapshot`` turn handles into
+positions, for their output.
 
 The demotion procedure is derived symmetrically from the promotion rule
 (an element falls exactly when no surviving element one level down is
@@ -45,7 +48,6 @@ class ExactDynamicLis:
         self._rng = random.Random(seed ^ 0xC4E2)
         self.backing: Optional[IndexedSeq] = None
         self.levels: list[Seq] = []
-        self.merge_fallbacks = 0
         if values is None:
             return
         values = list(values)
@@ -122,81 +124,69 @@ class ExactDynamicLis:
         self.delete_handle(self.backing.apply(Operation(DELETE, pos)))
 
     def insert_handle(self, h: Node) -> None:
-        value = h.value
-        lev = self._level_for(h.label, value)
         carry = self._new_seq()
-        carry.insert(1, value, extra=h)
-        k = lev
-        while carry.root is not None:
-            if k > len(self.levels):
-                self.levels.append(carry)
-                break
-            lvl = self.levels[k - 1]
-            span = self._promoted_interval(lvl, carry)
-            out = lvl.detach_range(*span) if span is not None else None
-            self._merge_by_value(lvl, carry)
-            if out is None or out.root is None:
-                break
-            carry = out
-            k += 1
+        carry.insert(1, h.value, extra=h)
+        levels = self.levels
+        for k in range(self._level_for(h.label, h.value), len(levels) + 1):
+            lvl = levels[k - 1]
+            carry = lvl.replace_range(*self._promoted_interval(lvl, carry),
+                                      carry)
+            if carry.root is None:
+                return
+        levels.append(carry)
 
     def delete_handle(self, h: Node) -> None:
-        value = h.value
-        lev = self._level_for(h.label, value)
-        lvl = self.levels[lev - 1]
-        r = lvl.rank_first_value_lt(value) - 1
-        gone = lvl.node_at(r)
-        assert gone.extra is h
-        lvl.unlink(gone)
-        support = lvl
-        start_rank = r
-        for k in range(lev + 1, len(self.levels) + 1):
-            cur = self.levels[k - 1]
-            span = self._dropped_interval(cur, support, start_rank)
+        levels = self.levels
+        lev = self._level_for(h.label, h.value)
+        r = levels[lev - 1].first_value_lt(h.value)[0] - 1
+        # every level's dropped interval, bottom up, read before any moves
+        spans = [(r, r)]
+        for k in range(lev, len(levels)):
+            span = self._dropped_interval(levels[k], levels[k - 1], *spans[-1])
             if span is None:
                 break
-            a, b = span
-            fell = cur.detach_range(a, b)
-            self._merge_by_value(self.levels[k - 2], fell)
-            support = cur
-            start_rank = a
-        while self.levels and self.levels[-1].root is None:
-            self.levels.pop()
+            spans.append(span)
+        # then top down: each level takes the interval from above into the
+        # hole its own interval leaves
+        fell = self._new_seq()
+        for j in range(len(spans) - 1, -1, -1):
+            fell = levels[lev + j - 1].replace_range(*spans[j], fell)
+        assert fell.root.extra is h
+        while levels and levels[-1].root is None:
+            levels.pop()
 
     # -- internals -------------------------------------------------------------
 
     def _level_for(self, label: int, value) -> int:
         """1 + the largest k such that level k holds an element before the
         one labelled ``label`` with a smaller value (the candidate-level
-        predicate is monotone)."""
-
-        def test(k: int) -> bool:
-            lvl = self.levels[k - 1]
-            i = lvl.rank_first_value_lt(value)
-            if i > len(lvl):
-                return False
-            return lvl.node_at(i).extra.label < label
-
-        lo, hi = 0, len(self.levels)
+        predicate is monotone): one descent per probe."""
+        levels = self.levels
+        lo, hi = 0, len(levels)
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            if test(mid):
+            _, node = levels[mid - 1].first_value_lt(value)
+            if node is not None and node.extra.label < label:
                 lo = mid
             else:
                 hi = mid - 1
         return lo + 1
 
-    def _promoted_interval(self, lvl: Seq,
-                           carry: Seq) -> Optional[tuple[int, int]]:
-        """Ranks of lvl's elements that move up one level when the elements
-        of `carry` arrive at this level.
+    def _promoted_interval(self, lvl: Seq, carry: Seq) -> tuple[int, int]:
+        """Ranks [a, b] of lvl's elements that move up one level when the
+        elements of `carry` arrive at this level, or (r + 1, r) when none
+        do, r being the last rank whose value is above the carry's.
 
         An element is promoted exactly when some arriving element sits
         before it with a smaller value.  Everything positioned after the
         whole carry only needs the value test against the carry's minimum
         (closed form); positions interleaved with the carry are resolved by
         a short walk over the carry's gaps.  The affected set is one
-        contiguous interval.
+        contiguous interval, and no element that stays has a value between
+        the carry's extremes (the single-interval invariant that the replay
+        tests check against patience sorting).  So the carry lands at rank
+        a, or at r + 1 when nothing is promoted, and the caller swaps the
+        two intervals with one ``replace_range(a, b, carry)``.
 
         Cost, for t = len(lvl) and u = len(carry): O(log t) label
         descents to find the window of lvl interleaved with the carry; when
@@ -204,21 +194,17 @@ class ExactDynamicLis:
         carry (labels and values, O(w + u) nodes), then two or three
         bisections over those lists per carry gap the walk visits.
         """
-        t = len(lvl)
         u = len(carry)
-        if t == 0:
-            return None
-        vmin = carry.node_at(u).value
-        r_limit = lvl.rank_first_value_lt(vmin) - 1
+        last = carry.node_at(u)
+        r_limit = lvl.first_value_lt(last.value)[0] - 1
+        nothing = r_limit + 1, r_limit
         if r_limit < 1:
-            return None
-        w_lo = lvl.rank_after(carry.node_at(1).extra.label)
+            return nothing
+        first = last if u == 1 else carry.node_at(1)
+        w_lo = lvl.rank_after(first.extra.label)
         if w_lo > r_limit:
-            return None
-        if u == 1:
-            s2 = w_lo
-        else:
-            s2 = lvl.rank_after(carry.node_at(u).extra.label)
+            return nothing
+        s2 = w_lo if u == 1 else lvl.rank_after(last.extra.label)
         a = b = None
         # interleaved region: positions strictly inside the carry's span.
         # The window elements between carry elements iw and iw + 1 share
@@ -261,63 +247,33 @@ class ExactDynamicLis:
                 raise AssertionError("promoted set is not one interval")
             b = r_limit
         if a is None:
-            return None
+            return nothing
         return a, b
 
-    def _dropped_interval(self, lvl: Seq, support: Seq,
-                          start_rank: int) -> Optional[tuple[int, int]]:
-        """Ranks of lvl's elements that fall one level after a deletion.
+    def _dropped_interval(self, lvl: Seq, support: Seq, lo: int,
+                          hi: int) -> Optional[tuple[int, int]]:
+        """Ranks of lvl's elements that fall one level when support, the
+        level below, loses its ranks [lo, hi].
 
-        An interval just left the level below from start_rank, so its
-        surviving neighbors are the ranks around that hole.  Only elements
-        positioned between those neighbors can have lost support; they all
-        share the same surviving predecessor, whose value caps the dropped
-        set to the window's low-value suffix.  (Window elements that kept
-        their old predecessor pass the value test automatically.)
+        The surviving neighbours of that hole are support's ranks lo - 1
+        and hi + 1, read before anything moves.  Only elements positioned
+        between them can have lost support; they all share the same
+        surviving predecessor, whose value caps the dropped set to the
+        window's low-value suffix.  (Window elements that kept their old
+        predecessor pass the value test automatically.)  The fallen
+        interval lands in the hole, so each level then takes it with one
+        ``replace_range(lo, hi, fallen)``.
         """
-        t = len(lvl)
-        s = len(support)
-        if t == 0:
-            return None
-        if s == 0:
-            return 1, t
-        if start_rank >= 2:
-            prev = support.node_at(start_rank - 1)
-            w_lo = lvl.rank_after(prev.extra.label)
-            a = max(w_lo, lvl.rank_first_value_lt(prev.value))
+        if lo >= 2:
+            prev = support.node_at(lo - 1)
+            a = max(lvl.rank_after(prev.extra.label),
+                    lvl.first_value_lt(prev.value)[0])
         else:
             a = 1
-        if start_rank <= s:
-            w_hi = lvl.rank_after(support.node_at(start_rank).extra.label) - 1
+        if hi < len(support):
+            w_hi = lvl.rank_after(support.node_at(hi + 1).extra.label) - 1
         else:
-            w_hi = t
+            w_hi = len(lvl)
         if a > w_hi:
             return None
         return a, w_hi
-
-    def _merge_by_value(self, dst: Seq, src: Seq) -> None:
-        """Merge src (value-descending) into dst, normally as one interval."""
-        if src.root is None:
-            return
-        if dst.root is None:
-            dst.root = src.root
-            src.root = None
-            return
-        vmax = src.node_at(1).value
-        vmin = src.node_at(len(src)).value
-        i = dst.rank_first_value_lt(vmax)
-        if i <= len(dst) and dst.node_at(i).value > vmin:
-            # arriving values interleave with the remainder; fall back to
-            # element-wise placement (kept for safety, expected never to run)
-            self.merge_fallbacks += 1
-            while src.root is not None:
-                node = src.node_at(1)
-                src.unlink(node)
-                j = dst.rank_first_value_lt(node.value)
-                dst.insert_node(j, node)
-            return
-        left = dst.split(i - 1)
-        left.join_right(src)
-        left.join_right(dst)
-        dst.root = left.root
-        left.root = None

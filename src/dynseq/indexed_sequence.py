@@ -3,8 +3,9 @@
 The substrate of every dynamic structure here: a randomized balanced tree
 (treap) addressed by 1-based position.  Nodes double as stable handles, so
 the position of an element can be recovered after arbitrary interleaved
-insertions and deletions.  Split and join are first-class because the exact
-dynamic-LIS level structure moves whole intervals between trees.
+insertions and deletions.  ``Seq.replace_range`` swaps one range for another
+tree's elements by split and join, because the exact dynamic-LIS level
+structure moves whole intervals between trees.
 
 The handles of an ``IndexedSeq`` also carry integer order labels that
 strictly increase along the sequence, so two live handles are ordered by
@@ -125,28 +126,36 @@ def _update(n: Node) -> None:
 
 
 def _join(a: Optional[Node], b: Optional[Node], meter: WorkMeter) -> Optional[Node]:
+    """Concatenate two trees.  Each node passed gains the other side's size,
+    so no size is recomputed from children."""
     if a is None:
         return b
     if b is None:
         return a
     meter.ticks += 1
     if a.prio > b.prio:
+        a.size += b.size
         r = _join(a.right, b, meter)
         a.right = r
         r.parent = a
-        _update(a)
         return a
+    b.size += a.size
     l = _join(a, b.left, meter)
     b.left = l
     l.parent = b
-    _update(b)
     return b
 
 
 def _split(t: Optional[Node], k: int, meter: WorkMeter):
-    """Split into (first k elements, rest)."""
-    if t is None:
-        return None, None
+    """Split a tree without dead nodes into (first k elements, rest).  A
+    cut at either end of a subtree returns at once, with no walk down its
+    spine.  Each node passed keeps k elements or gives k away, which sets
+    its size; the roots returned may keep a stale parent for the caller to
+    clear."""
+    if t is None or k <= 0:
+        return None, t
+    if k >= t.size:
+        return t, None
     meter.ticks += 1
     lsize = t.left.size if t.left is not None else 0
     if k <= lsize:
@@ -154,17 +163,13 @@ def _split(t: Optional[Node], k: int, meter: WorkMeter):
         t.left = b
         if b is not None:
             b.parent = t
-        _update(t)
-        if a is not None:
-            a.parent = None
+        t.size -= k
         return a, t
     a, b = _split(t.right, k - lsize - 1, meter)
     t.right = a
     if a is not None:
         a.parent = t
-    _update(t)
-    if b is not None:
-        b.parent = None
+    t.size = k
     return t, b
 
 
@@ -316,21 +321,24 @@ class Seq:
         rnd = self.rng.random
         return _build(self, (Node(v, rnd(), extra) for v, extra in pairs))
 
-    def rank_first_value_lt(self, v) -> int:
-        """First rank whose value is below v; assumes values descend along
-        the sequence (the level-tree order)."""
+    def first_value_lt(self, v) -> tuple[int, Optional[Node]]:
+        """First rank whose value is below v, with the node there (None past
+        the end), which its descent passes through; assumes values descend
+        along the sequence (the level-tree order)."""
         t = self.root
         acc = 0     # elements before the rank sought
         ticks = 0
+        found = None
         while t is not None:
             ticks += 1
             if t.value < v:
+                found = t
                 t = t.left
             else:
                 acc += (t.left.size if t.left is not None else 0) + 1
                 t = t.right
         self.meter.ticks += ticks
-        return acc + 1
+        return acc + 1, found
 
     def value_neighbours(self, v) -> tuple[int, Optional[Node], Optional[Node]]:
         """First rank whose value is above v, with the nodes just before and
@@ -512,35 +520,28 @@ class Seq:
         self.meter.ticks += ticks
         return acc + 1
 
-    def split(self, k: int) -> "Seq":
-        """Detach and return the first k elements as a new Seq."""
-        a, b = _split(self.root, k, self.meter)
-        self.root = b
-        out = Seq.__new__(Seq)
-        out.root = a
-        out.meter = self.meter
-        out.rng = self.rng
-        return out
+    def replace_range(self, a: int, b: int, src: "Seq") -> "Seq":
+        """Put src's elements in place of ranks [a, b] (1-based, inclusive;
+        b = a - 1 for none, so src lands before rank a) and return the
+        ranks taken out as a new Seq; src is left empty.
 
-    def detach_range(self, a: int, b: int) -> "Seq":
-        """Detach ranks [a, b] (1-based, inclusive) as a new Seq."""
-        pre, rest = _split(self.root, a - 1, self.meter)
-        mid, post = _split(rest, b - a + 1, self.meter)
-        self.root = _join(pre, post, self.meter)
-        if self.root is not None:
-            self.root.parent = None
+        Two splits and two joins; a split at either end of its tree, or a
+        join with an empty side, returns at once and charges nothing."""
+        meter = self.meter
+        pre, post = _split(self.root, a - 1, meter)
+        mid, post = _split(post, b - a + 1, meter)
+        root = _join(_join(pre, src.root, meter), post, meter)
+        if root is not None:
+            root.parent = None
+        if mid is not None:
+            mid.parent = None
+        self.root = root
+        src.root = None
         out = Seq.__new__(Seq)
         out.root = mid
-        out.meter = self.meter
+        out.meter = meter
         out.rng = self.rng
         return out
-
-    def join_right(self, other: "Seq") -> None:
-        """Append all of other's elements after this sequence's last one."""
-        self.root = _join(self.root, other.root, self.meter)
-        if self.root is not None:
-            self.root.parent = None
-        other.root = None
 
     def materialize(self) -> list:
         return list(self)

@@ -23,7 +23,7 @@ from dynseq.dynamic_dtm import (DtmDynamic, InversionMatching,
 from dynseq.dynamic_lis import hierarchy_engine, naive_engine, sqrt_engine
 from dynseq.grid_packing import (build_grid_packing, random_cell_weights,
                                  table_score)
-from dynseq.indexed_sequence import INSERT, dele, ins
+from dynseq.indexed_sequence import INSERT
 from dynseq.lis_plus import LisPlus
 from dynseq.partitioner import (partition_baseline, partition_dynamic,
                                 partition_is_valid)

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from dynseq.classic import (OracleScaleError, brute_dtm, brute_lis,
                             exhaustive_lis, exhaustive_weighted_his, levels,
-                            lis_extract, lis_length, weighted_dtm,
-                            weighted_his)
+                            lis_extract, lis_length, weighted_his)
 from oracles import fenwick_lis
 
 FIG_ARRAY = [7, 2, 4, 1, 9, 6, 3, 5, 8]

@@ -1,7 +1,13 @@
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from dynseq.exact_lis import ExactDynamicLis
 from dynseq.classic import levels, lis_length
+from dynseq.indexed_sequence import INSERT, dele, ins
+from dynseq.streams import KINDS, generate_stream
 from oracles import fenwick_lis, fresh_values
 
 LEVEL_ARRAY = [1, 5, 2, 4, 6, 7, 9, 10, 8]
@@ -9,6 +15,30 @@ LEVEL_ARRAY = [1, 5, 2, 4, 6, 7, 9, 10, 8]
 
 def level_values(ch):
     return [[v for _, v in lvl] for lvl in ch.levels_snapshot()]
+
+
+def assert_levels(ch, arr):
+    """Every element sits at its patience level, and every level tree runs
+    in position order with descending values: the order its searches and
+    range replaces rely on."""
+    got = [0] * len(arr)
+    for k, lvl in enumerate(ch.levels_snapshot(), start=1):
+        assert lvl, f"level {k} is empty"
+        for (p1, v1), (p2, v2) in zip(lvl, lvl[1:]):
+            assert p1 < p2 and v1 > v2, k
+        for pos, v in lvl:
+            assert arr[pos - 1] == v
+            got[pos - 1] = k
+    assert got == levels(arr)
+
+
+def replay(ch, arr, op):
+    if op.kind == INSERT:
+        ch.insert(op.position, op.value)
+        arr.insert(op.position - 1, op.value)
+    else:
+        ch.delete(op.position)
+        del arr[op.position - 1]
 
 
 def test_seed_matches_worked_example():
@@ -66,7 +96,7 @@ def test_oracle_replay_streams():
                 ch.insert(p, v)
                 arr.insert(p - 1, v)
             assert ch.lis() == fenwick_lis(arr)
-    assert ch.merge_fallbacks == 0
+            assert_levels(ch, arr)
 
 
 def test_within_level_monotonicity_and_interval_locality():
@@ -132,18 +162,57 @@ def test_extract_valid_witness():
             assert arr[p1 - 1] == v1
 
 
-def test_interleaved_merge_falls_back_to_element_moves():
-    # the fallback of _merge_by_value, which no replay reaches: values that
-    # interleave with the destination move one node at a time
-    ch = ExactDynamicLis(seed=4)
-    dst = ch._new_seq()
-    src = ch._new_seq()
-    for i, v in enumerate([90, 70, 50, 30]):
-        dst.insert(i + 1, v)
-    for i, v in enumerate([80, 60, 40]):
-        src.insert(i + 1, v)
-    ch._merge_by_value(dst, src)
-    assert ch.merge_fallbacks == 1
-    assert src.root is None
-    assert dst.materialize() == [90, 80, 70, 60, 50, 40, 30]
-    assert [dst.rank_of(n) for n in dst.nodes()] == list(range(1, 8))
+def _lis_uniform_ops(rng, n, steps):
+    """The perfbench ``lis-uniform`` shape: alternating inserts of fresh
+    uniform values at uniform positions and deletes at uniform positions,
+    so the array stays at n."""
+    used = set()
+    start = fresh_values(rng, used, n)
+    ops = []
+    for i in range(steps):
+        if i % 2 == 0:
+            (v,) = fresh_values(rng, used)
+            ops.append(ins(rng.randint(1, n + 1), v))
+            n += 1
+        else:
+            ops.append(dele(rng.randint(1, n)))
+            n -= 1
+    return start, ops
+
+
+@pytest.mark.parametrize("kind", ["lis-uniform", *KINDS])
+def test_levels_match_patience_along_streams(kind):
+    # every moved interval lands in the hole the leaving one left; a wrong
+    # landing rank shows as a level out of order or an element at the wrong
+    # level, long before the LIS itself goes wrong
+    if kind == "lis-uniform":
+        arr, ops = _lis_uniform_ops(random.Random(18), 2500, 4000)
+    else:
+        arr, ops = [], generate_stream(kind, 3000, 18)
+    ch = ExactDynamicLis(arr, seed=18)
+    arr = list(arr)
+    for step, op in enumerate(ops, start=1):
+        replay(ch, arr, op)
+        assert ch.lis() == fenwick_lis(arr)
+        if step % 100 == 0:
+            assert_levels(ch, arr)
+    assert_levels(ch, arr)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 40),
+                          st.integers(0, 10 ** 6)), max_size=60))
+def test_levels_after_every_operation(steps):
+    # small values collide often, so intervals of several elements move
+    ch = ExactDynamicLis()
+    arr = []
+    for is_insert, value, where in steps:
+        if is_insert or not arr:
+            if value in arr:
+                continue
+            op = ins(where % (len(arr) + 1) + 1, value)
+        else:
+            op = dele(where % len(arr) + 1)
+        replay(ch, arr, op)
+        assert ch.lis() == fenwick_lis(arr)
+        assert_levels(ch, arr)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from dynseq import indexed_sequence
 from dynseq.indexed_sequence import (DeadHandleError, DuplicateValueError,
-                                     IndexedSeq, Operation, PositionError,
-                                     Seq, _next, dele, ins)
+                                     IndexedSeq, Node, PositionError, Seq,
+                                     _build, _next, dele, ins)
 from dynseq.streams import KINDS, generate_stream
 from dynseq.work import WorkMeter
 
@@ -250,7 +250,7 @@ def test_relabel_cost_is_n_log_n_in_total():
 def test_split_detach_rejoin_keeps_order():
     s = IndexedSeq(list(range(0, 100, 2)), seed=1)
     inner = s._seq
-    mid = inner.detach_range(10, 20)
+    mid = inner.replace_range(10, 20, Seq())
     assert mid.materialize() == [v for v in range(0, 100, 2)][9:20]
     rest = inner.materialize()
     assert len(rest) == 50 - 11
@@ -289,7 +289,7 @@ def test_unlink_matches_split_join_removal():
             pos = rng.randint(1, len(by_split))
             node = by_unlink.node_at(pos)
             by_unlink.unlink(node)
-            by_split.detach_range(pos, pos)
+            by_split.replace_range(pos, pos, Seq())
             assert _shape(by_unlink) == _shape(by_split)
             assert node.size == 0
             assert node.parent is node.left is node.right is None
@@ -300,10 +300,66 @@ def test_unlink_matches_split_join_removal():
         assert by_unlink.root is None
 
 
+def _rebuilt_shape(seq: Seq) -> list[tuple]:
+    """The shape of a fresh build of seq's nodes, in order, with the same
+    priorities: the one treap those priorities allow."""
+    fresh = Seq(meter=WorkMeter())
+    for _ in _build(fresh, [Node(n.value, n.prio) for n in seq.nodes()]):
+        pass
+    return _shape(fresh)
+
+
+@pytest.mark.parametrize("n,m,a,b", [
+    (40, 5, 11, 10),    # empty range: src lands before rank 11
+    (40, 5, 1, 0),      # empty range at the front
+    (40, 5, 41, 40),    # empty range past the end: an append
+    (40, 0, 11, 20),    # empty src: a plain detach
+    (40, 5, 1, 40),     # the full range
+    (40, 5, 1, 7),      # a range at the front
+    (40, 5, 33, 40),    # a range at the back
+    (40, 0, 40, 40),    # the last element alone
+    (0, 5, 1, 0),       # into an empty sequence
+    (1, 3, 1, 1),
+])
+def test_replace_range_swaps_in_src(n, m, a, b):
+    for trial in range(6):
+        rng = random.Random(trial)
+        dst = Seq(meter=WorkMeter(), rng=rng, items=range(n))
+        src = Seq(meter=WorkMeter(), rng=rng, items=range(1000, 1000 + m))
+        out = dst.replace_range(a, b, src)
+        want = list(range(n))
+        assert out.materialize() == want[a - 1:b]
+        assert dst.materialize() == want[:a - 1] + list(range(1000, 1000 + m)) + want[b:]
+        assert src.root is None
+        assert len(dst) == n - (b - a + 1) + m and len(out) == b - a + 1
+        for seq in (dst, out):
+            assert _shape(seq) == _rebuilt_shape(seq)   # sizes and parents too
+            assert [seq.rank_of(x) for x in seq.nodes()] == list(range(1, len(seq) + 1))
+
+
+def test_replace_range_skips_what_it_need_not_do():
+    # a split at either end of its tree and a join with an empty side charge
+    # nothing: an empty range with an empty src costs no tick at the front or
+    # the back, and taking out the whole tree costs none either
+    meter = WorkMeter()
+    s = Seq(meter=meter, rng=random.Random(9), items=range(500))
+    before = _shape(s)
+    meter.ticks = 0
+    for a in (1, 501):
+        s.replace_range(a, a - 1, Seq(meter=meter))
+        assert meter.ticks == 0 and _shape(s) == before
+    # a cut inside the tree splits and joins again, to the same tree
+    s.replace_range(250, 249, Seq(meter=meter))
+    assert meter.ticks > 0 and _shape(s) == before
+    meter.ticks = 0
+    assert s.replace_range(1, 500, Seq(meter=meter)).materialize() == list(range(500))
+    assert meter.ticks == 0 and s.root is None
+
+
 def test_unlink_charges_fewer_ticks_than_split_join():
     ticks = []
     for remove in (lambda s, pos: s.unlink(s.node_at(pos)),
-                   lambda s, pos: s.detach_range(pos, pos)):
+                   lambda s, pos: s.replace_range(pos, pos, Seq())):
         meter = WorkMeter()
         s = Seq(meter=meter, rng=random.Random(3), items=range(2000))
         rng = random.Random(4)

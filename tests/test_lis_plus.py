@@ -6,7 +6,7 @@ import pytest
 
 from dynseq.classic import lis_length
 from dynseq.lis_plus import InsertOnlyError, LisPlus
-from dynseq.indexed_sequence import dele, ins
+from dynseq.indexed_sequence import dele
 from oracles import fresh_values
 
 
