@@ -21,8 +21,8 @@ approximation guarantee of the block algorithm carries over unchanged.
 
 The engines are ``WrappedEstimator`` subclasses: ``SqrtLis`` (``SqrtBlock``
 generations), ``DtmDynamic`` (``_DtmBlock``) and ``KeyedWrapped``
-(``GridBlock`` and ``KeyedNaiveBlock``), each passing the scheduler a
-factory and its mirror.
+(``GridBlock`` and ``KeyedNaiveBlock``), whose top level is
+``HierarchyLis``; each passes the scheduler a factory and its mirror.
 
 The scheduler reads the array through a mirror, which offers ``len`` and
 ``apply(op) -> ctx`` (mutate, and return a context handed on to the blocks
@@ -125,7 +125,7 @@ class WrappedEstimator:
         self._warming: Optional[GeneratorBlock] = None
         self._continuing = False   # _warming shares the active block's state
         self._warm_quantum = 0
-        self._warm_applied = 0
+        self._warm_start = 0   # _active_used when warming began
         # operations a rebuilt successor has yet to replay while it warms;
         # None otherwise: an empty deque holds a 64-slot block, and
         # partitioning 600 elements keeps about a thousand estimators
@@ -140,7 +140,7 @@ class WrappedEstimator:
         self._active = inst
 
     def _begin_warming(self) -> None:
-        self._warm_applied = 0
+        self._warm_start = self._active_used
         inst = self._active.continuation()
         self._continuing = inst is not None
         if self._continuing:
@@ -167,6 +167,9 @@ class WrappedEstimator:
 
     # -- estimator surface ----------------------------------------------------
 
+    def __len__(self) -> int:
+        return len(self.mirror)
+
     @property
     def active(self) -> GeneratorBlock:
         return self._active
@@ -179,20 +182,16 @@ class WrappedEstimator:
         self._active.apply(op, ctx)
         self._active_used += 1
         g = self._active.capacity
-        if self._warming is not None:
-            if self._continuing:
-                self._warm_applied += 1
-            else:
-                self._buffer.append((op, ctx))
-                if not self._warming.done:
-                    self._warming.preprocess_step(self._warm_quantum)
-                if self._warming.done:
-                    drained = 0
-                    while self._buffer and drained < 2:
-                        b_op, b_ctx = self._buffer.popleft()
-                        self._warming.apply(b_op, b_ctx)
-                        self._warm_applied += 1
-                        drained += 1
+        if self._warming is not None and not self._continuing:
+            self._buffer.append((op, ctx))
+            if not self._warming.done:
+                self._warming.preprocess_step(self._warm_quantum)
+            if self._warming.done:
+                drained = 0
+                while self._buffer and drained < 2:
+                    b_op, b_ctx = self._buffer.popleft()
+                    self._warming.apply(b_op, b_ctx)
+                    drained += 1
         if self._warming is None and self._active_used >= (9 * g + 9) // 10:
             self._begin_warming()
         if self._active_used >= g:
@@ -212,15 +211,14 @@ class WrappedEstimator:
             while self._buffer:
                 b_op, b_ctx = self._buffer.popleft()
                 self._warming.apply(b_op, b_ctx)
-                self._warm_applied += 1
             self._buffer = None
             self._alive(-1)
             self.generations_rebuilt += 1
         self._active = self._warming
         self._warming = None
-        # the successor has already consumed the replayed operations
-        self._active_used = self._warm_applied
-        self._warm_applied = 0
+        # the successor has consumed every operation since warming began:
+        # a continuation applied each live, a rebuilt one replayed each
+        self._active_used -= self._warm_start
 
     def query(self) -> int:
         return self._active.query()

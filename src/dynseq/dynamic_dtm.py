@@ -312,9 +312,6 @@ class DtmDynamic(WrappedEstimator):
         # the factory closes over the locals, not self: no reference cycle
         super().__init__(lambda: _DtmBlock(matching, epsilon), matching)
 
-    def __len__(self) -> int:
-        return len(self.mirror)
-
     def apply(self, op: Operation) -> None:
         # defined here, not inherited, so that perfbench's --trace times it
         # as DtmDynamic.apply

@@ -99,8 +99,8 @@ class KeyedNaive:
     It is also the mirror of a ``KeyedWrapped`` (``len``, ``apply``), so a
     keyed engine holds its elements in one pair of lists: its exact
     generations answer from them, its grid generations copy them when they
-    are built, and ``HierarchyLis`` reads positions from its top engine's.
-    It takes over the lists it is given.
+    are built, and ``HierarchyLis``, the top keyed engine, reads positions
+    from its own.  It takes over the lists it is given.
     """
 
     __slots__ = ("keys", "values", "ctx", "_dirty", "_lis")
@@ -388,6 +388,10 @@ class KeyedWrapped(WrappedEstimator):
         return self.active.describe()
 
     def leaf_elements(self) -> int:
+        """Elements held by the exact leaves under the active generations,
+        counting each copy: each grid level copies an element once per
+        distinct cell set covering its cell (3 of the 4 covering segments'
+        sets at m = 2).  Counted by a walk on every call."""
         return self.active.leaf_elements()
 
 
@@ -585,21 +589,18 @@ class SqrtLis(WrappedEstimator):
         # the factory closes over the locals, not self: no reference cycle
         super().__init__(lambda: SqrtBlock(epsilon, mirror, seed=seed), mirror)
 
-    def __len__(self) -> int:
-        return len(self.mirror)
-
     def apply(self, op: Operation) -> None:
         # defined here, not inherited, so that perfbench's --trace times it
         # as SqrtLis.apply; the mirror's handle is not handed out
         super().apply(op)
 
 
-class HierarchyLis:
+class HierarchyLis(KeyedWrapped):
     """Recursive grid hierarchy: depth ceil(4/eps), kappa = eps/2.
 
-    Positions become order keys here: an insert takes a fresh key between
-    its neighbours', a delete the key at its position, both read from the
-    top keyed engine's element lists.
+    The top keyed engine, taking positional operations: an insert takes a
+    fresh order key between its neighbours', a delete the key at its
+    position, both read from the mirror's element lists.
     """
 
     def __init__(self, epsilon: float, meter: Optional[WorkMeter] = None,
@@ -614,18 +615,14 @@ class HierarchyLis:
         self.meter = meter if meter is not None else WorkMeter()
         self.depth = math.ceil(4.0 / epsilon)
         self.kappa = epsilon / 2.0
-        self.ctx = EngineContext(self.kappa, self.meter, cutoff=cutoff)
-        self._keyed = KeyedWrapped(self.depth, [], [], self.ctx)
-        self._elements = self._keyed.mirror
         self._values: set = set()
-
-    def __len__(self) -> int:
-        return len(self._elements)
+        super().__init__(self.depth, [], [],
+                         EngineContext(self.kappa, self.meter, cutoff=cutoff))
 
     def apply(self, op: Operation) -> None:
         _check_op(op, len(self), self._values)
         p = op.position
-        keys = self._elements.keys
+        keys = self.mirror.keys
         if op.kind == INSERT:
             if p > len(keys):
                 key = _key_step(keys[-1], 1) if keys else FIRST_KEY
@@ -633,35 +630,21 @@ class HierarchyLis:
                 key = _key_step(keys[0], -1)
             else:
                 key = _key_between(keys[p - 2], keys[p - 1])
-            self._keyed.apply((INSERT, key, op.value))
+            super().apply((INSERT, key, op.value))
             self._values.add(op.value)
         else:
-            value = self._elements.values[p - 1]
-            self._keyed.apply((DELETE, keys[p - 1], value))
+            value = self.mirror.values[p - 1]
+            super().apply((DELETE, keys[p - 1], value))
             self._values.discard(value)
 
-    def query(self) -> int:
-        return self._keyed.query()
-
     def extract(self) -> list[tuple[int, int]]:
-        keys = self._elements.keys
+        keys = self.mirror.keys
         return [(bisect_left(keys, key) + 1, value)
-                for key, value in self._keyed.extract()]
-
-    def describe(self) -> list[tuple[int, int]]:
-        return self._keyed.describe()
+                for key, value in super().extract()]
 
     @property
     def touched_segments(self) -> int:
         return self.ctx.touched_segments
-
-    @property
-    def leaf_elements(self) -> int:
-        """Elements held by the exact leaves under the active generations,
-        counting each copy: each grid level copies an element once per
-        distinct cell set covering its cell (3 of the 4 covering segments'
-        sets at m = 2).  Counted by a walk on every read."""
-        return self._keyed.leaf_elements()
 
 
 # -- engine constructors -------------------------------------------------

@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional
 
-from .work import WorkMeter, default_meter
+from .work import WorkMeter
 
 INSERT = "I"
 DELETE = "D"
@@ -308,7 +308,7 @@ class Seq:
     def __init__(self, meter: Optional[WorkMeter] = None,
                  rng: Optional[random.Random] = None,
                  items: Iterable = ()):
-        self.meter = meter if meter is not None else default_meter()
+        self.meter = meter if meter is not None else WorkMeter()
         self.rng = rng if rng is not None else random.Random(0x5E9)
         self.root = None
         if items:
@@ -373,12 +373,6 @@ class Seq:
     def insert(self, pos: int, value: Any, extra: Any = None) -> Node:
         """Insert before position pos (1-based, pos in [1, len+1])."""
         node = Node(value, self.rng.random(), extra)
-        self._attach(pos, node)
-        return node
-
-    def insert_node(self, pos: int, node: Node) -> Node:
-        node.left = node.right = node.parent = None
-        node.size = node.live = 1
         self._attach(pos, node)
         return node
 

@@ -29,16 +29,12 @@ class InsertOnlyError(ValueError):
 
 
 class Bucket:
-    __slots__ = ("size", "handles", "state", "lis_value", "task", "age",
-                 "reserved", "parts")
+    __slots__ = ("size", "handles", "lis_value", "task", "age", "reserved",
+                 "parts")
 
-    PENDING = "pending"
-    FINAL = "finalized"
-
-    def __init__(self, size: int, handles: list, state: str, lis_value: int = 0):
+    def __init__(self, size: int, handles: list, lis_value: int = 0):
         self.size = size
         self.handles = handles
-        self.state = state
         self.lis_value = lis_value
         self.task: Optional[Iterator[None]] = None
         self.age = 0
@@ -69,7 +65,7 @@ class LisPlus:
         # and its relabels leave in sequence order
         h = self.backing.insert(pos, value)
         self._pump()
-        unit = Bucket(1, [h], Bucket.FINAL, lis_value=1)
+        unit = Bucket(1, [h], lis_value=1)
         self.finalized.setdefault(1, []).append(unit)
         self._start_merges()
 
@@ -94,7 +90,7 @@ class LisPlus:
                 if len(free) >= 2:
                     left, right = free[0], free[1]
                     left.reserved = right.reserved = True
-                    merged = Bucket(2 * size, [], Bucket.PENDING)
+                    merged = Bucket(2 * size, [])
                     merged.parts = (left, right)
                     merged.task = self._merge_task(merged, left, right)
                     next(merged.task)  # prime: aligns pacing with 2 units/op
@@ -114,7 +110,6 @@ class LisPlus:
         for size in done:
             b = self.pending.pop(size)
             assert b.age <= size, "bucket finalized later than its pacing window"
-            b.state = Bucket.FINAL
             b.task = None
             left, right = b.parts
             self.finalized[size // 2] = [

@@ -87,40 +87,40 @@ def partition_dynamic(values: Sequence[int], epsilon: float,
         raise ValueError("values must be distinct")
     fwd = hierarchy_engine(epsilon, meter=meter)
     rev = hierarchy_engine(epsilon, meter=meter)
+    # values are distinct, so a witness's values name its inputs; rev holds
+    # fwd's array reversed, so fwd position p is rev position len + 1 - p
+    index_of = {v: i for i, v in enumerate(values)}
     ops = 0
-    shadow_f: list[int] = []
-    shadow_r: list[int] = []
     for i, v in enumerate(values):
         fwd.apply(ins(i + 1, v))
         ops += 1
-        shadow_f.append(i)
-    for i in range(n - 1, -1, -1):
-        rev.apply(ins(len(shadow_r) + 1, values[i]))
+    for i, v in enumerate(reversed(values)):
+        rev.apply(ins(i + 1, v))
         ops += 1
-        shadow_r.append(i)
     out = Partition()
-    while shadow_f:
+    while len(fwd):
         qf = fwd.query()
         qr = rev.query()
         if qf >= qr:
             witness = fwd.extract()
-            originals = [shadow_f[p - 1] for p, _ in witness]
             direction = INCREASING
         else:
             witness = rev.extract()
-            originals = [shadow_r[p - 1] for p, _ in witness]
             direction = DECREASING
-        if not originals:
+        if not witness:
             raise AssertionError("empty witness on a nonempty array")
-        chosen = set(originals)
-        for shadow, engine in ((shadow_f, fwd), (shadow_r, rev)):
-            doomed = sorted((i for i, orig in enumerate(shadow) if orig in chosen),
-                            reverse=True)
-            for i in doomed:
-                engine.apply(dele(i + 1))
-                ops += 1
-                shadow.pop(i)
-        out.parts.append(sorted(o + 1 for o in originals))
+        # the witness's fwd positions, ascending
+        mirrored = len(fwd) + 1
+        positions = sorted(p for p, _ in witness)
+        if direction == DECREASING:
+            positions = [mirrored - p for p in reversed(positions)]
+        for p in reversed(positions):
+            fwd.apply(dele(p))
+            ops += 1
+        for p in positions:
+            rev.apply(dele(mirrored - p))
+            ops += 1
+        out.parts.append(sorted(index_of[v] + 1 for _, v in witness))
         out.directions.append(direction)
     out.ops_issued = ops
     return out

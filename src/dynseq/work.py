@@ -16,12 +16,3 @@ class WorkMeter:
 
     def __init__(self) -> None:
         self.ticks = 0
-
-
-# Meter used by structures created without an explicit one.  Each engine
-# creates its own meter, so this only serves ad-hoc / interactive use.
-_DEFAULT = WorkMeter()
-
-
-def default_meter() -> WorkMeter:
-    return _DEFAULT

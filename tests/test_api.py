@@ -1,5 +1,6 @@
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import dynseq
@@ -47,3 +48,61 @@ def test_no_unused_imports():
             if names:
                 found[str(path.relative_to(ROOT))] = names
     assert found == {}
+
+
+def names_read(tree: ast.AST) -> set[str]:
+    """Identifiers a module reads: names, attributes, imported names, and
+    the words of its string constants other than docstrings (perfbench and
+    ``__all__`` name functions in strings)."""
+    docs = {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)}
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.update(node.name.split("."))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docs):
+            read.update(re.findall(r"\w+", node.value))
+    return read
+
+
+def dead_definitions(defining: list[str], others: list[str]) -> list[str]:
+    """Functions, methods and classes defined in the ``defining`` sources
+    that no source, of those or of ``others``, names anywhere but at their
+    definition; dunder methods are exempt."""
+    trees = [ast.parse(source) for source in defining]
+    defined = {node.name for tree in trees for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef))}
+    read = set().union(*map(names_read, trees + [ast.parse(s) for s in others]))
+    return sorted(name for name in defined - read
+                  if not (name.startswith("__") and name.endswith("__")))
+
+
+def test_dead_definitions_scan_finds_them():
+    source = ("class A:\n"
+              "    def used(self): pass\n"
+              "    def unused(self): pass\n"
+              "    def __len__(self): return 0\n"
+              "def helper():\n"
+              "    \"helper is named only in its docstring\"\n"
+              "A().used()\n")
+    assert dead_definitions([source], []) == ["helper", "unused"]
+    assert dead_definitions([source], ["from m import helper\n",
+                                       "x.unused()\n"]) == []
+    assert dead_definitions([source], ["TRACED = ('m.A.unused', 'helper')\n"
+                                       ]) == []
+
+
+def test_no_dead_definitions():
+    def sources(*folders):
+        return [path.read_text() for folder in folders
+                for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert dead_definitions(sources("src/dynseq"),
+                            sources("tests", "perfbench")) == []

@@ -646,7 +646,7 @@ def test_traced_methods_stay_on_their_own_class():
     # perfbench/run.py --trace 1 times these by name on the class that
     # defines them; an inherited one would be traced under another name
     for cls, name in ((SqrtLis, "apply"), (DtmDynamic, "apply"),
-                      (HierarchyLis, "apply"),
+                      (HierarchyLis, "apply"), (HierarchyLis, "extract"),
                       (GeneratorBlock, "preprocess_step"),
                       (WrappedEstimator, "apply")):
         assert name in vars(cls), (cls.__name__, name)

@@ -363,15 +363,15 @@ def check_keys(keys):
 def test_frontend_keys_are_ordered_byte_strings():
     eng = hierarchy_engine(0.5)
     drive(eng, 1500, 21)
-    check_keys(eng._elements.keys)
+    check_keys(eng.mirror.keys)
     for pos in (1, 2):
         eng = hierarchy_engine(0.5)
         rng = random.Random(pos)
         for i, v in enumerate(rng.sample(range(10 ** 6), 2000)):
             eng.apply(ins(min(pos, i + 1), v))
-        check_keys(eng._elements.keys)
+        check_keys(eng.mirror.keys)
     # 1999 inserts at position 2 halve one gap each time: 8 bits per byte
-    assert max(map(len, eng._elements.keys)) <= KEY_WHOLE + 1999 // 8 + 1
+    assert max(map(len, eng.mirror.keys)) <= KEY_WHOLE + 1999 // 8 + 1
 
 
 frontend_keys = st.builds(
@@ -438,7 +438,7 @@ def test_grid_block_answer_equals_full_recompute(stream):
     depth = 0
     for op in items:
         eng.apply(op)
-        assert checked_score(eng._keyed) == eng.query()
+        assert checked_score(eng) == eng.query()
         depth = max(depth, len(eng.describe()))
     assert depth >= 3
 
@@ -491,9 +491,9 @@ def test_leaf_elements_counts_every_copy():
         else:
             leaves.append(est.keys)
 
-    walk(eng._keyed)
-    assert eng.leaf_elements == sum(map(len, leaves)) > 2 * len(eng)
-    assert {k for leaf in leaves for k in leaf} == set(eng._elements.keys)
+    walk(eng)
+    assert eng.leaf_elements() == sum(map(len, leaves)) > 2 * len(eng)
+    assert {k for leaf in leaves for k in leaf} == set(eng.mirror.keys)
 
 
 def test_copy_count_gate_and_one_child_per_cell_set():
@@ -504,7 +504,7 @@ def test_copy_count_gate_and_one_child_per_cell_set():
     eng = hierarchy_engine(0.5)
     for i, v in enumerate(rng.sample(range(10 * n), n)):
         eng.apply(ins(rng.randint(1, i + 1), v))
-    assert eng.leaf_elements <= 45 * n, eng.leaf_elements
+    assert eng.leaf_elements() <= 45 * n, eng.leaf_elements()
     blocks = 0
 
     def walk(est):
@@ -519,7 +519,7 @@ def test_copy_count_gate_and_one_child_per_cell_set():
             for child in est.children:
                 walk(child)
 
-    walk(eng._keyed)
+    walk(eng)
     assert blocks > 1
 
 
@@ -541,11 +541,11 @@ def test_top_mirror_is_the_array(make, stream):
             shadow.insert(op.position - 1, op.value)
         else:
             shadow.pop(op.position - 1)
-        assert eng._elements.values == shadow
+        assert eng.mirror.values == shadow
         for pos, value in eng.extract():
             assert shadow[pos - 1] == value
     # the stream crossed warm-ups and handovers of the top engine
-    assert eng._keyed.generations_rebuilt > 2
+    assert eng.generations_rebuilt > 2
 
 
 def test_hierarchy_top_engine_crosses_the_cutoff_both_ways():
@@ -566,7 +566,7 @@ def test_hierarchy_top_engine_crosses_the_cutoff_both_ways():
             shadow.insert(op.position - 1, op.value)
         else:
             shadow.pop(op.position - 1)
-        active = eng._keyed.active
+        active = eng.active
         phase = "exact" if isinstance(active, KeyedNaiveBlock) else "grid"
         if not phases or phases[-1] != phase:
             phases.append(phase)
@@ -592,8 +592,7 @@ def test_only_grid_generations_copy_the_mirror(monkeypatch):
     # mirror's lists when it is built and drops the copy once its children
     # are seeded
     eng = hierarchy_engine(0.5)
-    wrapped = eng._keyed
-    mirror = eng._keyed.mirror
+    mirror = eng.mirror
     grids = []
     grid_init = GridBlock.__init__
 
@@ -628,8 +627,8 @@ def test_only_grid_generations_copy_the_mirror(monkeypatch):
             step(dele(rng.randint(1, n)))
             charge = max(1, (n - 1).bit_length())
         assert eng.meter.ticks - before == charge, t
-        assert wrapped.active.inner is mirror
-    assert wrapped.generations_rebuilt >= 5
+        assert eng.active.inner is mirror
+    assert eng.generations_rebuilt >= 5
     assert not grids
     while len(shadow) < 300:
         (v,) = fresh_values(rng, used)
@@ -639,4 +638,4 @@ def test_only_grid_generations_copy_the_mirror(monkeypatch):
     for blk in grids:
         if blk.preprocess_step(0):
             assert blk.snap is None
-    assert isinstance(wrapped.active, GridBlock) and wrapped.active.snap is None
+    assert isinstance(eng.active, GridBlock) and eng.active.snap is None

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from dynseq import partitioner
 from dynseq.partitioner import (Partition, partition_baseline,
                                 partition_dynamic, partition_is_valid)
 
@@ -59,6 +60,42 @@ def test_dynamic_partition_validity_and_ops():
         assert partition_is_valid(vals, part)
         assert part.ops_issued == 4 * n
         assert len(part) <= 4 * math.isqrt(n) + 4
+
+
+def test_engines_hold_the_remaining_inputs_each_round(monkeypatch):
+    # partition_dynamic reads rev positions as fwd's mirrored: at the start
+    # of every round rev holds fwd's array reversed, and fwd the inputs not
+    # yet in a part, in input order
+    make = partitioner.hierarchy_engine
+    engines = []
+    seen = []
+
+    def capture(*args, **kwargs):
+        engine = make(*args, **kwargs)
+        engines.append(engine)
+        if len(engines) % 2 == 1:   # fwd: each round starts with its query
+            query = engine.query
+
+            def checked_query():
+                fwd, rev = engines[-2:]
+                assert rev.mirror.values == fwd.mirror.values[::-1]
+                seen.append(list(fwd.mirror.values))
+                return query()
+            engine.query = checked_query
+        return engine
+
+    monkeypatch.setattr(partitioner, "hierarchy_engine", capture)
+    rng = random.Random(53)
+    for n, eps in ((1, 0.8), (20, 0.5), (150, 0.8), (300, 0.5)):
+        vals = rng.sample(range(1 << 30), n)
+        seen.clear()
+        part = partition_dynamic(vals, eps)
+        assert partition_is_valid(vals, part)
+        assert len(seen) == len(part)
+        taken: set[int] = set()
+        for remaining, chosen in zip(seen, part.parts):
+            assert remaining == [v for i, v in enumerate(vals, 1) if i not in taken]
+            taken.update(chosen)
 
 
 def test_validity_checker_catches_breaks():
