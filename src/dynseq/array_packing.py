@@ -11,19 +11,21 @@ The union is deduplicated: for d = 1 the i = 0 row of family 2 repeats the
 singletons of family 1, and keeping one copy lowers per-cell coverage
 without weakening any guarantee.
 
-cover_interval reproduces the two-sided covering construction: grow a cover
-from the left edge and from the right edge, picking the farthest-reaching
-segment each time, then bridge the middle greedily with segments of the
-longest length q that fits.  The bridge can need more than two q-segments
-under unlucky alignment; the emitted count is checked against
-2*log_{d'}(m) + 2 (d' = max(d, 2)) exhaustively at small m rather than
-assumed.
+cover_spans builds the greedy interval cover of [x, y]: from p = x it takes
+the committed segment inside [x, y] that covers p and reaches farthest, then
+moves p past its end, until [x, y] is covered.  This is the textbook greedy
+for covering an interval with given intervals, so it uses the fewest
+committed segments possible, never more than the paper's two-sided
+construction (grow from both edges, then bridge the middle with segments of
+the longest fitting length).  The count is checked against
+2*log_{d'}(m) + 2 (d' = max(d, 2)) exhaustively at small m by acceptance
+criterion 4 rather than assumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True, order=True)
@@ -58,7 +60,6 @@ class ArrayPacking:
         self.m = m
         self.kappa = kappa
         self.d = _largest_d(m, kappa)
-        self.has_family2 = family2
         segs: set[ArraySegment] = set()
         for length in range(1, self.d + 1):
             for j in range(1, m - length + 2):
@@ -100,27 +101,6 @@ class ArrayPacking:
         step = length // self.d
         return list(range(1, self.m - length + 2, step))
 
-    # -- family-2 geometry -------------------------------------------------
-
-    def _f2_first_start(self, length: int, at_least: int) -> Optional[int]:
-        """Smallest admitted start >= at_least whose segment fits in [1, m]."""
-        step = length // self.d
-        j = at_least + (-(at_least - 1)) % step
-        if j + length - 1 > self.m:
-            return None
-        return j
-
-    def _largest_inside(self, x: int, y: int) -> int:
-        """Largest committed segment length with an instance inside [x, y]."""
-        room = y - x + 1
-        for length, step in self._f2_desc:
-            if length > room:
-                continue
-            j = x + (-(x - 1)) % step
-            if j + length - 1 <= y:
-                return length
-        return min(self.d, room)
-
     # -- operations ----------------------------------------------------------
 
     def _span_reaching(self, p: int, y: int, lo_bound: int) -> tuple[int, int]:
@@ -148,66 +128,24 @@ class ArrayPacking:
                 blo, bhi = j, end
         return blo, bhi
 
-    def _span_back(self, x: int, r: int, hi_bound: int) -> tuple[int, int]:
-        """Earliest-starting committed segment with start >= x and end in
-        [r, hi_bound], ties broken toward the smaller end, as (lo, hi)."""
-        d = self.d
-        m = self.m
-        length = min(d, r - x + 1)
-        blo, bhi = r - length + 1, r
-        for length, step in self._f2_desc:
-            if r - length + 1 >= blo:
-                break
-            at_least = x if x > r - length + 1 else r - length + 1
-            j = at_least + (-(at_least - 1)) % step
-            end = j + length - 1
-            if j > r or end > m or end > hi_bound:
-                continue
-            if j < blo or (j == blo and end < bhi):
-                blo, bhi = j, end
-        return blo, bhi
-
     def cover_spans(self, x: int, y: int) -> list[tuple[int, int]]:
-        """Covering as raw (lo, hi) tuples; see cover_interval."""
+        """Fewest committed segments inside [x, y] whose union is exactly
+        [x, y], as (lo, hi) tuples from left to right."""
         if not 1 <= x <= y <= self.m:
             raise ValueError(f"bad interval [{x}, {y}] for m={self.m}")
-        if y - x + 1 <= self.d:
-            return [(x, y)]
-        q = self._largest_inside(x, y)
-        margin = q // self.d
-        if margin < 1:
-            margin = 1
         out: list[tuple[int, int]] = []
         p = x
-        while p - x < margin and p <= y:
+        while p <= y:
+            # family 1 holds a segment starting at p, so hi >= p
             lo, hi = self._span_reaching(p, y, x)
             out.append((lo, hi))
             p = hi + 1
-        right: list[tuple[int, int]] = []
-        r = y
-        while y - r < margin and r >= p:
-            lo, hi = self._span_back(x, r, y)
-            right.append((lo, hi))
-            r = lo - 1
-        while p <= r:
-            lo_bound = p - q + 1
-            if lo_bound < x:
-                lo_bound = x
-            lo, hi = self._span_reaching(p, y, lo_bound)
-            if hi < p:
-                raise AssertionError("covering invariant broken (bridge)")
-            out.append((lo, hi))
-            p = hi + 1
-        out.extend(reversed(right))
         return out
-
-    def cover_interval(self, x: int, y: int) -> list[ArraySegment]:
-        """Committed segments inside [x, y] whose union is exactly [x, y]."""
-        return [ArraySegment(lo, hi) for lo, hi in self.cover_spans(x, y)]
 
     def best_segment_in_interval(self, weights: Sequence[float], x: int, y: int
                                  ) -> tuple[ArraySegment, float]:
-        """Heaviest committed segment lying inside [x, y]."""
+        """Heaviest committed segment lying inside [x, y], for any weights;
+        among equal scores the first in ``segments`` order."""
         if len(weights) != self.m:
             raise ValueError("weights length must equal m")
         if not 1 <= x <= y <= self.m:
@@ -219,28 +157,8 @@ class ArrayPacking:
         def score(seg: ArraySegment) -> float:
             return prefix[seg.hi] - prefix[seg.lo - 1]
 
-        best_seg = ArraySegment(x, x)
-        best = score(best_seg)
-        # family 1: with non-negative weights only the longest fitting
-        # segment from each start can win, plus each singleton.
-        for j in range(x, y + 1):
-            length = min(self.d, y - j + 1)
-            s = score(ArraySegment(j, j + length - 1))
-            if s > best:
-                best, best_seg = s, ArraySegment(j, j + length - 1)
-            w = prefix[j] - prefix[j - 1]
-            if w > best:
-                best, best_seg = w, ArraySegment(j, j)
-        if self.has_family2:
-            for length in self._family2_lengths:
-                step = length // self.d
-                j = self._f2_first_start(length, x)
-                while j is not None and j + length - 1 <= y:
-                    s = score(ArraySegment(j, j + length - 1))
-                    if s > best:
-                        best, best_seg = s, ArraySegment(j, j + length - 1)
-                    j += step
-        return best_seg, best
+        best = max((s for s in self.segments if x <= s.lo and s.hi <= y), key=score)
+        return best, score(best)
 
 
 def build_array_packing(m: int, kappa: float, family2: bool = True) -> ArrayPacking:

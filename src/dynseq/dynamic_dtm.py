@@ -60,9 +60,10 @@ class InversionMatching:
     def __init__(self, meter: Optional[WorkMeter] = None, seed: int = 0) -> None:
         self.meter = meter if meter is not None else WorkMeter()
         self.backing = IndexedSeq(meter=self.meter, seed=seed)
+        # an unmatched handle's ``extra`` holds its node in tn, and is reset
+        # to None when that node is unlinked, so no cycle outlives the match
         self.tn = Seq(meter=self.meter)
-        self._tn_node: dict[int, Node] = {}  # id(unmatched handle) -> its tn node
-        self._mate: dict[int, Node] = {}     # id(matched handle) -> partner handle
+        self._mate: dict[Node, Node] = {}   # matched handle -> partner handle
         self.s_count = 0
 
     def __len__(self) -> int:
@@ -74,12 +75,12 @@ class InversionMatching:
         if op.kind == INSERT:
             self._place(h)
             return None
-        node = self._tn_node.pop(id(h), None)
-        if node is not None:
-            self.tn.unlink(node)
+        if h.extra is not None:
+            self.tn.unlink(h.extra)
+            h.extra = None
         else:
-            partner = self._mate.pop(id(h))
-            del self._mate[id(partner)]
+            partner = self._mate.pop(h)
+            del self._mate[partner]
             self.s_count -= 1
             self._place(partner)
         return h.value
@@ -98,12 +99,12 @@ class InversionMatching:
         if mate_node is not None:
             mate = mate_node.extra
             tn.unlink(mate_node)
-            del self._tn_node[id(mate)]
-            self._mate[id(h)] = mate
-            self._mate[id(mate)] = h
+            mate.extra = None
+            self._mate[h] = mate
+            self._mate[mate] = h
             self.s_count += 1
         else:
-            self._tn_node[id(h)] = tn.insert(i, v, extra=h)
+            h.extra = tn.insert(i, v, extra=h)
 
     def approx2_query(self) -> tuple[int, int]:
         return self.s_count, 2 * self.s_count

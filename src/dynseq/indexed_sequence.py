@@ -246,16 +246,21 @@ def _prev(x: Node, meter: WorkMeter) -> Optional[Node]:
     return None
 
 
-def _iter_nodes(t: Optional[Node]) -> Iterator[Node]:
-    stack: list[Node] = []
-    cur = t
-    while stack or cur is not None:
-        while cur is not None:
-            stack.append(cur)
-            cur = cur.left
-        cur = stack.pop()
-        yield cur
-        cur = cur.right
+def _walk(seq: "Seq") -> Iterator[Node]:
+    """In-order walk over every node of ``seq``, dead ones included.  It
+    reads ``seq.root`` when first advanced and each successor only after
+    yielding a node, so a walk over an ``IndexedSeq`` with a snapshot open
+    stays correct while updates go on.  It charges nothing: a consumer
+    charges each node it reads, which covers the walk's O(n) steps."""
+    free = WorkMeter()
+    node = seq.root
+    if node is None:
+        return
+    while node.left is not None:
+        node = node.left
+    while node is not None:
+        yield node
+        node = _next(node, free)
 
 
 def _build(seq: "Seq", nodes: Iterable[Node]) -> Iterator[Node]:
@@ -365,10 +370,10 @@ class Seq:
         return self.root.size if self.root is not None else 0
 
     def __iter__(self) -> Iterator[Any]:
-        return (n.value for n in _iter_nodes(self.root) if n.live)
+        return (n.value for n in _walk(self) if n.live)
 
     def nodes(self) -> Iterator[Node]:
-        return _iter_nodes(self.root)
+        return _walk(self)
 
     def insert(self, pos: int, value: Any, extra: Any = None) -> Node:
         """Insert before position pos (1-based, pos in [1, len+1])."""
@@ -603,22 +608,8 @@ class IndexedSeq:
         until ``close_snapshot``."""
         if self._born is not None:
             raise RuntimeError("a snapshot of this sequence is already open")
-        self._born = set()
-        return self._walk(self._born)
-
-    def _walk(self, born: set) -> Iterator[Node]:
-        # the walk charges nothing: its consumer charges each handle it
-        # reads, which covers the walk's O(n) steps, first descent included
-        free = WorkMeter()
-        node = self._seq.root
-        if node is None:
-            return
-        while node.left is not None:
-            node = node.left
-        while node is not None:
-            if node not in born:
-                yield node
-            node = _next(node, free)
+        born = self._born = set()
+        return (n for n in _walk(self._seq) if n not in born)
 
     def close_snapshot(self) -> None:
         """Close the open snapshot, if any, and unlink its tombstones."""

@@ -29,8 +29,7 @@ class InsertOnlyError(ValueError):
 
 
 class Bucket:
-    __slots__ = ("size", "handles", "lis_value", "task", "age", "reserved",
-                 "parts")
+    __slots__ = ("size", "handles", "lis_value", "task", "age")
 
     def __init__(self, size: int, handles: list, lis_value: int = 0):
         self.size = size
@@ -38,8 +37,6 @@ class Bucket:
         self.lis_value = lis_value
         self.task: Optional[Iterator[None]] = None
         self.age = 0
-        self.reserved = False
-        self.parts: Optional[tuple["Bucket", "Bucket"]] = None
 
 
 class LisPlus:
@@ -80,22 +77,17 @@ class LisPlus:
     # -- bucket mechanics -----------------------------------------------------
 
     def _start_merges(self) -> None:
-        changed = True
-        while changed:
-            changed = False
-            for size in sorted(self.finalized):
-                if 2 * size in self.pending:
-                    continue
-                free = [b for b in self.finalized[size] if not b.reserved]
-                if len(free) >= 2:
-                    left, right = free[0], free[1]
-                    left.reserved = right.reserved = True
-                    merged = Bucket(2 * size, [])
-                    merged.parts = (left, right)
-                    merged.task = self._merge_task(merged, left, right)
-                    next(merged.task)  # prime: aligns pacing with 2 units/op
-                    self.pending[2 * size] = merged
-                    changed = True
+        """Merge the first two finalized buckets of each size whose merge is
+        not pending.  Those two stay first until the merge finalizes: a size's
+        buckets are only appended, and only that merge removes any.  A merge
+        started here makes only its own pair's size busy, so one pass
+        starts every merge that can start."""
+        for size, buckets in sorted(self.finalized.items()):
+            if len(buckets) >= 2 and 2 * size not in self.pending:
+                merged = Bucket(2 * size, [])
+                merged.task = self._merge_task(merged, buckets[0], buckets[1])
+                next(merged.task)  # prime: aligns pacing with 2 units/op
+                self.pending[2 * size] = merged
 
     def _pump(self) -> None:
         """Advance every pending bucket by two work units."""
@@ -111,12 +103,10 @@ class LisPlus:
             b = self.pending.pop(size)
             assert b.age <= size, "bucket finalized later than its pacing window"
             b.task = None
-            left, right = b.parts
-            self.finalized[size // 2] = [
-                x for x in self.finalized[size // 2] if x is not left and x is not right]
-            if not self.finalized[size // 2]:
+            parts = self.finalized[size // 2]
+            del parts[:2]
+            if not parts:
                 del self.finalized[size // 2]
-            b.parts = None
             self.finalized.setdefault(size, []).append(b)
         if done:
             self._start_merges()

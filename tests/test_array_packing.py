@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from dynseq.array_packing import ArraySegment, build_array_packing
+from dynseq.array_packing import build_array_packing
 
 
 def test_d_examples():
@@ -61,13 +61,12 @@ def test_cover_single_segment_short_interval():
     p = build_array_packing(64, 0.5)
     for x in range(1, 60):
         y = min(64, x + p.d - 1)
-        segs = p.cover_interval(x, y)
-        assert segs == [ArraySegment(x, y)]
+        assert p.cover_spans(x, y) == [(x, y)]
 
 
 def test_cover_singleton():
     p = build_array_packing(40, 0.5)
-    assert p.cover_interval(7, 7) == [ArraySegment(7, 7)]
+    assert p.cover_spans(7, 7) == [(7, 7)]
 
 
 def test_cover_exhaustive_small():
@@ -86,6 +85,38 @@ def test_cover_exhaustive_small():
                         assert lo <= reach + 1, (m, kappa, x, y, spans)
                         reach = max(reach, hi)
                     assert reach == y
+
+
+def _fewest_segments(p, x: int, y: int) -> int:
+    """Fewest committed segments inside [x, y] whose union is exactly
+    [x, y], by a DP over right ends: g[r] covers exactly [x, r], and in a
+    fewest cover the union of all but the segment ending at r is [x, r']
+    with lo - 1 <= r' < r."""
+    ending: dict[int, list[int]] = {}
+    for s in p.segments:
+        if x <= s.lo and s.hi <= y:
+            ending.setdefault(s.hi, []).append(s.lo)
+    inf = float("inf")
+    g = {x - 1: 0}
+    for r in range(x, y + 1):
+        # after the loop, low[lo] = min(g[lo - 1], ..., g[r - 1])
+        low = {}
+        run = inf
+        for lo in range(r, x - 1, -1):
+            run = min(run, g[lo - 1])
+            low[lo] = run
+        g[r] = min((1 + low[lo] for lo in ending.get(r, ())), default=inf)
+    return g[y]
+
+
+def test_cover_uses_fewest_segments():
+    for kappa in (0.3, 0.5, 0.7):
+        for m in range(1, 41):
+            p = build_array_packing(m, kappa)
+            for x in range(1, m + 1):
+                for y in range(x, m + 1):
+                    assert len(p.cover_spans(x, y)) == _fewest_segments(p, x, y), \
+                        (m, kappa, x, y)
 
 
 def test_cover_full_interval_bound():
@@ -117,6 +148,26 @@ def test_best_segment_all_ones():
     seg, score = p.best_segment_in_interval(weights, 1, m)
     longest = max(s.hi - s.lo + 1 for s in p.segments)
     assert score == float(longest)
+
+
+def test_best_segment_matches_brute_force_mixed_weights():
+    rng = random.Random(20)
+    packings = {}
+    for case in range(1500):
+        m = rng.randint(1, 70)
+        kappa = (0.3, 0.5, 0.7)[case % 3]
+        p = packings.get((m, kappa))
+        if p is None:
+            p = packings[(m, kappa)] = build_array_packing(m, kappa)
+        weights = [float(rng.randint(-9, 9)) for _ in range(m)]
+        x = rng.randint(1, m)
+        y = rng.randint(x, m)
+        inside = [s for s in p.segments if x <= s.lo and s.hi <= y]
+        scores = [sum(weights[s.lo - 1:s.hi]) for s in inside]
+        top = max(scores)
+        first = inside[scores.index(top)]
+        assert p.best_segment_in_interval(weights, x, y) == (first, top), \
+            (m, kappa, x, y)
 
 
 def test_score_loss_guarantee():

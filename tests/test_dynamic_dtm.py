@@ -61,16 +61,23 @@ def _assert_matched_set_live(m):
     matched = {id(h) for h in m.matched_handles()}
     assert matched == live - unmatched
     assert len(m.matched_handles()) == 2 * m.s_count
+    # an unmatched handle links to its own tree node, a matched one to none
+    assert all(node.extra.extra is node for node in m.tn.nodes())
+    assert all(h.extra is None for h in m.matched_handles())
 
 
 def _replay_exact(ops):
     m = InversionMatching(seed=5)
     arr = []
     for step, op in enumerate(ops):
-        m.apply(op)
         if op.kind == "I":
+            m.apply(op)
             arr.insert(op.position - 1, op.value)
         else:
+            gone = m.backing.handle_at(op.position)
+            m.apply(op)
+            # a deleted handle keeps no link to a tree node
+            assert gone.extra is None
             arr.pop(op.position - 1)
         assert m.exact_dtm() == len(arr) - lis_length(arr), step
         _assert_matched_set_live(m)

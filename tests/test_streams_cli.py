@@ -199,16 +199,20 @@ def test_bench_reproducible():
     assert out1.count("bench engine=") == 4
 
 
-def test_bench_matches_committed_output():
+@pytest.mark.parametrize("sizes,seed", [("200", "7"), ("300,2000", "3")])
+def test_bench_matches_committed_output(sizes, seed):
     # regenerate with
     #   PYTHONPATH=src python -c "from dynseq.cli import main; main()" bench \
     #     --engines naive,sqrt,hier,dtm,lisplus --sizes 200 --seed 7 \
     #     > tests/data/bench_sizes200_seed7.txt
+    # (and likewise --sizes 300,2000 --seed 3 into
+    # bench_sizes300_2000_seed3.txt, where the grid levels engage)
     # only where a change means to move it: a work column may only fall,
     # and CHANGES.md records which lines moved and why
-    golden = Path(__file__).parent / "data" / "bench_sizes200_seed7.txt"
+    name = f"bench_sizes{sizes.replace(',', '_')}_seed{seed}.txt"
+    golden = Path(__file__).parent / "data" / name
     rc, out = run_cli("bench", "--engines", "naive,sqrt,hier,dtm,lisplus",
-                      "--sizes", "200", "--seed", "7")
+                      "--sizes", sizes, "--seed", seed)
     assert rc == 0
     assert out == golden.read_text()
 
